@@ -268,7 +268,8 @@ def _trace_power(g: Graph, k: int) -> int:
         else:
             obj = obj @ a.astype(object)
     final = obj if obj is not None else p
-    return int(np.trace(final))
+    # Each diagonal entry fits int64 but their sum need not: add as Python ints.
+    return sum(map(int, final.diagonal()))
 
 
 def hom_cycle(k: int, g: Graph) -> HomValue:

@@ -6,8 +6,10 @@ import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from homcount.evaluate import Hyper
 from homcount.graphs import Graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -32,6 +34,36 @@ def naive_hom(f: Graph, g: Graph, weights=None):
                     prod *= weights[image[u]]
                 total += prod
     return total
+
+
+def reference_train(x, y, num_classes, hyper=Hyper()):
+    """Oracle trainer: one fold, one plain 2-D gradient-descent loop.
+
+    The library trains folds as a stacked program; its results must equal
+    this loop's bit for bit. Returns (weights, bias, epochs run).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = x.shape
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+    w = np.zeros((d, num_classes))
+    b = np.zeros(num_classes)
+    for epoch in range(hyper.epochs):
+        z = x @ w + b
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+        err = (p - onehot) / n
+        gw = x.T @ err + hyper.l2 * w
+        gb = err.sum(axis=0)
+        norm = np.sqrt((gw * gw).sum() + (gb * gb).sum())
+        if norm < 1e-15:
+            return w, b, epoch
+        scale = hyper.lr / norm
+        w -= scale * gw
+        b -= scale * gb
+    return w, b, hyper.epochs
 
 
 def random_simple_graph(rng: random.Random, n: int, p: float) -> Graph:

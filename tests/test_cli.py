@@ -132,6 +132,11 @@ class TestExitCodes:
     def test_missing_dataset_dir(self, capsys):
         assert main(["eval", "--dataset", "/nope", "--family", "cycles:8"]) == 2
 
+    def test_k_larger_than_dataset(self, capsys):
+        code = main(["eval", "--generate", "csl", "--family", "cycles:4", "--k", "200"])
+        assert code == 2
+        assert "k=200" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "patterns" in capsys.readouterr().out

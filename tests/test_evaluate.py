@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from homcount.datasets import DatasetBundle, gen_csl
+from conftest import reference_train
+from homcount.datasets import DatasetBundle, gen_csl, load_paulus
+from homcount.embedding import apply_standardizer, embed, fit_standardizer
 from homcount.evaluate import (
     Hyper,
+    _fold_seed,
     bench_runtime,
     cross_validate,
     predict,
@@ -49,6 +52,10 @@ class TestStratifiedKFold:
     def test_k_too_small(self):
         with pytest.raises(ValueError):
             stratified_kfold([0, 1], k=1)
+
+    def test_k_larger_than_dataset(self):
+        with pytest.raises(ValueError, match="k=4 .* has 3"):
+            stratified_kfold([0, 1, 0], k=4)
 
     def test_small_class_warns(self):
         with pytest.warns(UserWarning, match="members"):
@@ -123,6 +130,14 @@ class TestCrossValidate:
             recomputed = matrix.values[train].mean(axis=0)
             assert np.allclose(recomputed, fold["scaler_mean"])
 
+    def test_epochs_run_recorded_per_fold(self):
+        rep = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=2)
+        assert rep.config["epochs_run"] == [Hyper().epochs] * 10
+
+    def test_k_larger_than_dataset_is_named_error(self):
+        with pytest.raises(ValueError, match="k=12 .* has 10 graphs"):
+            cross_validate(gen_csl(copies_per_class=1), "cycles:4", k=12)
+
     def test_seed_changes_folds(self):
         a = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=1)
         b = cross_validate(tiny_csl(), "cycles:8", k=5, seed=1, repeats=1)
@@ -154,3 +169,54 @@ class TestBench:
         timing = bench_runtime(bundle, [], k=2, seed=0)
         assert timing["embed_seconds"] >= 0
         assert timing["total_seconds"] >= 0
+
+
+def reference_cv(bundle, family, hyper, k, seed, repeats):
+    """Fold accuracies and epochs run from a sequential loop over the 2-D
+    reference trainer. Along the way, asserts that the one-fold
+    `train_classifier` reproduces each reference model exactly."""
+    matrix = embed(bundle, family)
+    labels = np.asarray(bundle.labels, dtype=np.int64)
+    accuracies, epochs = [], []
+    for r in range(repeats):
+        for train, test in stratified_kfold(bundle.labels, k=k, seed=_fold_seed(seed, r)):
+            values = apply_standardizer(matrix, fit_standardizer(matrix, rows=train)).values
+            x, y = values[train], labels[train]
+            w, b, ran = reference_train(x, y, bundle.num_classes, hyper)
+            model = train_classifier(x, y, bundle.num_classes, hyper)
+            assert np.array_equal(model.weights, w) and np.array_equal(model.bias, b)
+            pred = np.argmax(values[test] @ w + b, axis=1)
+            accuracies.append(float(np.mean(pred == labels[test])))
+            epochs.append(ran)
+    return accuracies, epochs
+
+
+def _early_stop_bundle():
+    # With k=4 the last fold trains on 3 + 3 graphs: balanced classes and
+    # no features give a zero gradient at epoch 0. The other folds train on
+    # 2 + 4 graphs of the same total, so they share its stack and keep going.
+    return DatasetBundle(name="stop", graphs=[Graph(2, [(0, 1)])] * 8, labels=[0] * 3 + [1] * 5)
+
+
+REFERENCE_CASES = {
+    "tiny-csl": (tiny_csl, "cycles:8", Hyper(), 5, 2),
+    # 50 graphs in 3 folds: train sets of 33 and 34 rows, two stacks a repeat
+    "ragged": (tiny_csl, "cycles:6", Hyper(epochs=500), 3, 2),
+    # every row standardizes to zero, so predictions rest on bias ties
+    "paulus-ties": (lambda: load_paulus(seed=0), "trees:3", Hyper(epochs=200), 5, 1),
+    "early-stop": (_early_stop_bundle, [], Hyper(epochs=50), 4, 1),
+}
+
+
+class TestStackedTrainingMatchesReference:
+    @pytest.mark.filterwarnings("ignore:class .* members")
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_fold_accuracies_and_epochs(self, case):
+        make, family, hyper, k, repeats = REFERENCE_CASES[case]
+        bundle = make()
+        rep = cross_validate(bundle, family, hyper=hyper, k=k, seed=0, repeats=repeats)
+        accuracies, epochs = reference_cv(bundle, family, hyper, k, 0, repeats)
+        assert rep.fold_accuracies == accuracies
+        assert rep.config["epochs_run"] == epochs
+        if case == "early-stop":
+            assert epochs == [hyper.epochs] * 3 + [0]

@@ -150,6 +150,14 @@ class TestCycleAlgorithm:
         with pytest.raises(ValueError):
             hom_cycle(1, k(3))
 
+    @pytest.mark.parametrize("n, length", [(101, 10), (60, 11)])
+    def test_trace_sum_beyond_int64_is_exact(self, n, length):
+        # Closed walks in K_n: (n-1)^k + (n-1)(-1)^k, past 2**63 for these sizes.
+        expected = (n - 1) ** length + (n - 1) * (-1) ** length
+        assert expected >= 1 << 63
+        hv = hom_cycle(length, k(n))
+        assert hv.mode == "exact" and hv.value == expected
+
     def test_promotion_beyond_128_bits(self):
         hv = hom_cycle(40, k(20))
         assert hv.mode == "real" and hv.promoted
