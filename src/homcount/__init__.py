@@ -3,7 +3,6 @@
 from .graphs import (
     FeaturedGraph,
     Graph,
-    build_graph,
     degree_sequence,
     disjoint_union,
     is_bipartite,

@@ -11,18 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import datasets, embedding, evaluate, patterns
-from .hom import PhiFunction, hom
-from .patterns import (
-    Pattern,
-    custom_pattern,
-    cycle_graph,
-    load_pattern_file,
-    path_graph,
-    resolve_family,
-    single_edge,
-    star_graph,
-)
+import numpy as np
+
+from . import datasets, embedding, evaluate
+from .graphs import FeaturedGraph
+from .hom import PhiFunction, _to_density, hom
+from .patterns import load_pattern_file, pattern_from_spec, resolve_family
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,27 +34,6 @@ def _emit(payload: dict, out: str | None) -> None:
     print(text)
 
 
-def _resolve_pattern(spec: str) -> Pattern:
-    name, _, arg = spec.partition(":")
-    name = name.lower()
-    if name == "edge":
-        return custom_pattern(single_edge())
-    if name == "cycle":
-        return patterns.Pattern(cycle_graph(int(arg)), "cycle", int(arg),
-                                patterns.canonical_adjacency_code(cycle_graph(int(arg))))
-    if name == "path":
-        g = path_graph(int(arg))
-        return patterns.Pattern(g, "path", int(arg), patterns.canonical_tree_code(g))
-    if name == "star":
-        g = star_graph(int(arg) - 1)
-        return patterns.Pattern(g, "star", int(arg), patterns.canonical_tree_code(g))
-    if name == "file":
-        path, _, index = arg.partition("#")
-        graphs = load_pattern_file(path)
-        return custom_pattern(graphs[int(index) if index else 0])
-    raise ValueError(f"unknown pattern spec {spec!r}")
-
-
 def _load_bundle(args) -> datasets.DatasetBundle:
     if getattr(args, "generate", None):
         kind = args.generate
@@ -76,7 +49,7 @@ def _load_bundle(args) -> datasets.DatasetBundle:
     return datasets.parse_tud(directory, name)
 
 
-def _phi_set(args, bundle):
+def _phi_set(args):
     if args.phi == "constant":
         return [PhiFunction.constant_one()]
     return None  # auto: embedding picks the default for the bundle
@@ -177,23 +150,17 @@ def _cmd_patterns(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    pattern = _resolve_pattern(args.pattern)
+    pattern = pattern_from_spec(args.pattern)
     graphs = load_pattern_file(args.graph)
-    if not graphs:
-        raise ValueError(f"no graph found in {args.graph}")
+    if len(graphs) != 1:
+        raise ValueError(f"--graph takes one graph, but {args.graph} holds {len(graphs)}")
     g = graphs[0]
     if args.weighted:
-        import numpy as np
-
-        from .graphs import FeaturedGraph
-
         fg = FeaturedGraph(g, np.ones((g.num_vertices, 1)))
         value = hom(pattern, fg, phi=PhiFunction.affine((1.0,), 0.0))
     else:
         value = hom(pattern, g)
-    out_value = float(value) if args.density or value.mode == "real" else value.value
-    if args.density:
-        out_value = out_value / float(g.num_vertices**pattern.graph.num_vertices)
+    out_value = _to_density(float(value), pattern.graph, g) if args.density else value.value
     payload = {
         "config": {
             "pattern": args.pattern,
@@ -243,7 +210,7 @@ def _cmd_embed(args) -> int:
     matrix = embedding.embed(
         bundle,
         spec,
-        phi_set=_phi_set(args, bundle),
+        phi_set=_phi_set(args),
         density=args.density,
         log1p=args.log1p,
         threads=args.threads,
@@ -268,7 +235,7 @@ def _cmd_eval(args) -> int:
     report = evaluate.cross_validate(
         bundle,
         spec,
-        phi_set=_phi_set(args, bundle),
+        phi_set=_phi_set(args),
         density=args.density,
         hyper=hyper,
         k=args.k,
@@ -293,7 +260,7 @@ def _cmd_bench(args) -> int:
     timing = evaluate.bench_runtime(
         bundle,
         spec,
-        phi_set=_phi_set(args, bundle),
+        phi_set=_phi_set(args),
         density=args.density,
         hyper=hyper,
         k=args.k,

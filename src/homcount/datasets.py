@@ -85,6 +85,8 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
     indicator = [
         _int_token(tok, ind_path, i + 1) for i, tok in enumerate(_read_lines(ind_path))
     ]
+    if not indicator:
+        raise DataFormatError(f"{ind_path.name}: no vertices, so no graphs")
     num_graphs = max(indicator)
     sizes = [0] * num_graphs
     # Local index = rank within the vertex's own graph, so interleaved

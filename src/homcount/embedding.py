@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import DatasetBundle
 from .graphs import FeaturedGraph
-from .hom import PhiFunction, hom
+from .hom import PhiFunction, _to_density, hom
 from .patterns import Pattern, resolve_family
 
 
@@ -95,13 +95,12 @@ def embed(
 
     def fill_row(i: int) -> None:
         target = targets[i]
-        ng = bundle.graphs[i].num_vertices
         for j, (pi, phi) in enumerate(columns):
             pat = patterns[pi]
             hv = hom(pat, target, phi=phi)
             cell = float(hv)
             if density:
-                cell /= float(ng**pat.graph.num_vertices) if ng else 1.0
+                cell = _to_density(cell, pat.graph, bundle.graphs[i])
             if hv.promoted:
                 promoted[j] = True
             values[i, j] = cell

@@ -71,11 +71,6 @@ class Graph:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
 
 
-def build_graph(num_vertices: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph, deduplicating and symmetrizing the edge list."""
-    return Graph(num_vertices, edges)
-
-
 class FeaturedGraph:
     """A graph together with a per-vertex feature matrix of shape (n, p).
 
@@ -86,16 +81,9 @@ class FeaturedGraph:
     __slots__ = ("graph", "features")
 
     def __init__(self, graph: Graph, features):
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise ValueError("features must be a 2-d matrix (num_vertices x p)")
-        if feats.shape[0] != graph.num_vertices:
-            raise ValueError(
-                f"feature rows ({feats.shape[0]}) do not match num_vertices ({graph.num_vertices})"
-            )
+        feats = FeaturedGraph.unchecked(graph, features).features
         if feats.size and (np.min(feats) < 0.0 or np.max(feats) > 1.0):
             raise ValueError("feature entries must lie in [0, 1]")
-        feats.setflags(write=False)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "features", feats)
 
@@ -105,7 +93,10 @@ class FeaturedGraph:
         fg = cls.__new__(cls)
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != graph.num_vertices:
-            raise ValueError("features must have shape (num_vertices, p)")
+            raise ValueError(
+                f"features must be 2-d with rows = num_vertices ({graph.num_vertices}), "
+                f"got shape {feats.shape}"
+            )
         feats.setflags(write=False)
         object.__setattr__(fg, "graph", graph)
         object.__setattr__(fg, "features", feats)
@@ -139,13 +130,6 @@ def permute(g: Graph, sigma: Sequence[int]) -> Graph:
     """Relabel vertices: edge (u, v) becomes (sigma[u], sigma[v])."""
     check_permutation(sigma, g.num_vertices)
     return Graph(g.num_vertices, ((sigma[u], sigma[v]) for u, v in g.edges()))
-
-
-def inverse_permutation(sigma: Sequence[int]) -> list[int]:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return inv
 
 
 def permute_featured(fg: FeaturedGraph, sigma: Sequence[int]) -> FeaturedGraph:

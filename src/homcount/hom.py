@@ -19,7 +19,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .graphs import FeaturedGraph, Graph
-from .patterns import Pattern, TreeDecomposition, nice_decomposition, validate_decomposition
+from .patterns import (
+    Pattern,
+    TreeDecomposition,
+    _is_tree,
+    nice_decomposition,
+    validate_decomposition,
+)
 
 BRUTE_FORCE_GUARD = 10**8
 EXACT_LIMIT = 1 << 128
@@ -186,23 +192,7 @@ def _rooted_tree_order(fg: Graph, root: int = 0) -> list[tuple[int, int]]:
             if c not in seen:
                 seen.add(c)
                 order.append((c, v))
-    if len(order) != fg.num_vertices:
-        raise ValueError("tree pattern must be connected")
     return order
-
-
-def _is_tree_graph(fg: Graph) -> bool:
-    if fg.num_vertices == 0 or fg.num_edges != fg.num_vertices - 1:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in fg.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == fg.num_vertices
 
 
 def hom_tree(
@@ -219,7 +209,7 @@ def hom_tree(
     path patterns cannot hit the recursion limit.
     """
     fg = _pattern_graph(f)
-    if not _is_tree_graph(fg):
+    if not _is_tree(fg):
         raise ValueError("hom_tree requires a tree pattern")
     g, x = _as_features(g)
     if weights is None:
@@ -385,15 +375,15 @@ def hom_treedec(
 
 
 def hom(
-    f: Pattern,
+    f: Union[Pattern, Graph],
     g: Union[Graph, FeaturedGraph],
     phi: Optional[PhiFunction] = None,
 ) -> HomValue:
-    """Compute hom(F, G) by the cheapest applicable algorithm."""
+    """Compute hom(F, G) by the cheapest applicable algorithm; F may be a bare graph."""
     fg = _pattern_graph(f)
     graph, x = _as_features(g)
     weights = _resolve_weights(graph, x, phi)
-    if _is_tree_graph(fg):
+    if _is_tree(fg):
         return hom_tree(fg, graph, weights=weights)
     if isinstance(f, Pattern) and f.family == "cycle" and weights is None:
         return hom_cycle(f.size, graph)
@@ -402,13 +392,16 @@ def hom(
     return hom_treedec(fg, td, graph, weights=weights)
 
 
-def hom_density(f: Union[Pattern, Graph], g: Graph) -> float:
-    """hom(F, G) / |V(G)| ** |V(F)|, the edge-preservation probability."""
-    fg = _pattern_graph(f)
+def _to_density(count: float, f: Graph, g: Graph) -> float:
+    """count / |V(G)| ** |V(F)| for pattern graph F and target graph G."""
     if g.num_vertices < 1:
         raise ValueError("density needs a non-empty target graph")
-    f_in = f if isinstance(f, Pattern) else Pattern(fg, "custom", fg.num_vertices, "")
-    return float(hom(f_in, g)) / float(g.num_vertices**fg.num_vertices)
+    return count / float(g.num_vertices**f.num_vertices)
+
+
+def hom_density(f: Union[Pattern, Graph], g: Graph) -> float:
+    """hom(F, G) / |V(G)| ** |V(F)|, the edge-preservation probability."""
+    return _to_density(float(hom(f, g)), _pattern_graph(f), g)
 
 
 def hom_weighted_density(f: Union[Pattern, Graph], fg: FeaturedGraph) -> float:
@@ -419,12 +412,8 @@ def hom_weighted_density(f: Union[Pattern, Graph], fg: FeaturedGraph) -> float:
     if total <= 0:
         raise ValueError("weighted density requires positive total weight")
     normalized = fg.features[:, 0] / total
-    graph = _pattern_graph(f)
-    f_in = f if isinstance(f, Pattern) else Pattern(graph, "custom", graph.num_vertices, "")
-    if _is_tree_graph(graph):
-        return float(hom_tree(graph, fg.graph, weights=list(normalized)))
-    td = nice_decomposition(f_in)
-    return float(hom_treedec(graph, td, fg.graph, weights=list(normalized)))
+    weighted = FeaturedGraph.unchecked(fg.graph, normalized[:, None])
+    return float(hom(f, weighted, phi=PhiFunction.coordinate(0)))
 
 
 def hom_vector(
@@ -438,7 +427,5 @@ def hom_vector(
     out = np.empty(len(patterns), dtype=np.float64)
     for i, p in enumerate(patterns):
         value = float(hom(p, g, phi=phi))
-        if density:
-            value /= float(graph.num_vertices ** p.graph.num_vertices)
-        out[i] = value
+        out[i] = _to_density(value, p.graph, graph) if density else value
     return out

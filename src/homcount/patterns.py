@@ -175,8 +175,19 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
-def single_edge() -> Graph:
-    return Graph(2, [(0, 1)])
+def _path_pattern(size: int) -> Pattern:
+    g = path_graph(size)
+    return Pattern(g, "path", size, canonical_tree_code(g))
+
+
+def _cycle_pattern(k: int) -> Pattern:
+    g = cycle_graph(k)
+    return Pattern(g, "cycle", k, canonical_adjacency_code(g))
+
+
+def _star_pattern(size: int) -> Pattern:
+    g = star_graph(size - 1)
+    return Pattern(g, "star", size, canonical_tree_code(g))
 
 
 def enumerate_trees(max_size: int) -> list[Pattern]:
@@ -193,7 +204,8 @@ def enumerate_trees(max_size: int) -> list[Pattern]:
             f"tree catalogs beyond size {MAX_TREE_CATALOG_SIZE} are not supported"
         )
     patterns: list[Pattern] = []
-    current: dict[str, Graph] = {canonical_tree_code(single_edge()): single_edge()}
+    edge = path_graph(2)
+    current: dict[str, Graph] = {canonical_tree_code(edge): edge}
     for size in range(2, max_size + 1):
         for code in sorted(current):
             patterns.append(Pattern(current[code], "tree", size, code))
@@ -218,33 +230,21 @@ def enumerate_cycles(max_size: int) -> list[Pattern]:
     """
     if max_size < 3:
         raise ValueError("max_size must be at least 3")
-    patterns = [Pattern(single_edge(), "path", 2, canonical_tree_code(single_edge()))]
-    for k in range(3, max_size + 1):
-        g = cycle_graph(k)
-        patterns.append(Pattern(g, "cycle", k, canonical_adjacency_code(g)))
-    return patterns
+    return [_path_pattern(2)] + [_cycle_pattern(k) for k in range(3, max_size + 1)]
 
 
 def enumerate_stars(max_size: int) -> list[Pattern]:
     """Stars S_1..S_{max_size-1} (sizes 2..max_size)."""
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    out = []
-    for size in range(2, max_size + 1):
-        g = star_graph(size - 1)
-        out.append(Pattern(g, "star", size, canonical_tree_code(g)))
-    return out
+    return [_star_pattern(size) for size in range(2, max_size + 1)]
 
 
 def enumerate_paths(max_size: int) -> list[Pattern]:
     """Paths P2..P_{max_size} (sizes 2..max_size)."""
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    out = []
-    for size in range(2, max_size + 1):
-        g = path_graph(size)
-        out.append(Pattern(g, "path", size, canonical_tree_code(g)))
-    return out
+    return [_path_pattern(size) for size in range(2, max_size + 1)]
 
 
 def custom_pattern(g: Graph) -> Pattern:
@@ -549,3 +549,27 @@ def resolve_family(spec: str) -> list[Pattern]:
     if name == "file":
         return [custom_pattern(g) for g in load_pattern_file(arg)]
     raise ValueError(f"unknown pattern family {spec!r}")
+
+
+def pattern_from_spec(spec: str) -> Pattern:
+    """One pattern from `edge`, `cycle:K`, `path:N`, `star:N` or `file:PATH[#i]`.
+
+    Shapes are built as in the catalogs, so `cycle:5` equals the C5 entry of
+    `enumerate_cycles` and `edge` is their P2. `file:PATH#i` takes block i
+    (default 0) of a custom pattern file.
+    """
+    name, _, arg = spec.partition(":")
+    name = name.lower()
+    if name == "edge":
+        return _path_pattern(2)
+    shapes = {"cycle": _cycle_pattern, "path": _path_pattern, "star": _star_pattern}
+    if name in shapes:
+        return shapes[name](int(arg))
+    if name == "file":
+        path, _, index = arg.partition("#")
+        graphs = load_pattern_file(path)
+        i = int(index) if index else 0
+        if not 0 <= i < len(graphs):
+            raise ValueError(f"pattern index {i} out of range: {path} holds {len(graphs)} blocks")
+        return custom_pattern(graphs[i])
+    raise ValueError(f"unknown pattern spec {spec!r}")

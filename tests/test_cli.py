@@ -48,6 +48,25 @@ class TestHom:
     def test_missing_graph_file(self, capsys):
         assert main(["hom", "--pattern", "edge", "--graph", "/nope/missing.txt"]) == 2
 
+    def test_multi_graph_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("3\n0 1\n1 2\n2 0\n\n2\n0 1\n")
+        assert main(["hom", "--pattern", "edge", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "holds 2" in err
+
+    @pytest.mark.parametrize("index", ["5", "-1"])
+    def test_pattern_index_out_of_range(self, k3_file, index, capsys):
+        spec = f"file:{k3_file}#{index}"
+        assert main(["hom", "--pattern", spec, "--graph", k3_file]) == 2
+        assert f"pattern index {index} out of range" in capsys.readouterr().err
+
+    def test_density_on_empty_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("0\n")
+        assert main(["hom", "--pattern", "edge", "--graph", str(path), "--density"]) == 2
+        assert "non-empty target" in capsys.readouterr().err
+
 
 class TestGenEvalPipeline:
     def test_gen_writes_tu_files(self, tmp_path, capsys):

@@ -81,6 +81,12 @@ class TestParserErrors:
         with pytest.raises(DataFormatError, match="out of range"):
             parse_tud(tmp_path, "X")
 
+    def test_empty_graph_indicator(self, tmp_path):
+        self._write(tmp_path, [], [], [])
+        (tmp_path / "X_graph_indicator.txt").write_text("")
+        with pytest.raises(DataFormatError, match="X_graph_indicator.txt"):
+            parse_tud(tmp_path, "X")
+
 
 class TestRoundTrip:
     def test_toy_roundtrip(self, tmp_path):

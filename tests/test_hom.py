@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import naive_hom, random_connected_graph, random_simple_graph
+from homcount.datasets import DatasetBundle
+from homcount.embedding import embed
 from homcount.graphs import FeaturedGraph, Graph, disjoint_union, is_bipartite, permute
 from homcount.hom import (
     PhiFunction,
@@ -227,6 +229,23 @@ class TestDensities:
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
             hom_density(EDGE, Graph(0, []))
+
+    DENSITY_ROUTES = {
+        "hom_density": lambda pats, g: [hom_density(p, g) for p in pats],
+        "hom_vector": lambda pats, g: list(hom_vector(pats, g, density=True)),
+        "embed": lambda pats, g: list(
+            embed(DatasetBundle("one", [g], [0]), pats, density=True).values[0]
+        ),
+    }
+
+    @pytest.mark.parametrize("route", sorted(DENSITY_ROUTES))
+    def test_one_density_rule(self, route):
+        pats = enumerate_trees(4) + enumerate_cycles(5)
+        densities = self.DENSITY_ROUTES[route]
+        with pytest.raises(ValueError, match="non-empty target"):
+            densities(pats, Graph(0, []))
+        g = random_simple_graph(random.Random(59), 6, 0.5)
+        assert densities(pats, g) == self.DENSITY_ROUTES["hom_density"](pats, g)
 
 
 class TestWeightedDensity:

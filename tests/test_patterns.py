@@ -18,6 +18,7 @@ from homcount.patterns import (
     enumerate_trees,
     parse_pattern_blocks,
     path_graph,
+    pattern_from_spec,
     resolve_family,
     star_graph,
     treewidth_exact,
@@ -246,3 +247,14 @@ class TestPatternFiles:
             resolve_family("hexagons:4")
         with pytest.raises(ValueError, match="size"):
             resolve_family("trees")
+
+
+class TestPatternFromSpec:
+    @pytest.mark.parametrize(
+        "spec, family, index",
+        [("cycle:5", "cycles:5", -1), ("path:4", "paths:4", -1),
+         ("star:4", "stars:4", -1), ("edge", "cycles:3", 0)],
+    )
+    def test_equals_catalog_entry(self, spec, family, index):
+        # Pattern equality covers graph, family, size and canonical code.
+        assert pattern_from_spec(spec) == resolve_family(family)[index]
