@@ -19,6 +19,9 @@ from .hom import PhiFunction, _to_density, hom
 from .patterns import load_pattern_file, pattern_from_spec, resolve_family
 
 
+_FAMILY_HELP = "name:K with name in trees|cycles|stars|paths (e.g. trees:6), or file:PATH"
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; this artifact reserves 2 for data
     # errors and uses 1 for usage.
@@ -55,22 +58,12 @@ def _phi_set(args):
     return None  # auto: embedding picks the default for the bundle
 
 
-def _family_spec(args) -> str:
-    if ":" in args.family or args.family.startswith("file"):
-        return args.family
-    if args.max_size is None:
-        raise ValueError(f"family {args.family!r} needs --max-size or a :size suffix")
-    return f"{args.family}:{args.max_size}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="homcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_pat = sub.add_parser("patterns", help="print a pattern catalog as JSON")
-    p_pat.add_argument("--family", required=True,
-                       help="trees|cycles|stars|paths (optionally name:size) or file:PATH")
-    p_pat.add_argument("--max-size", type=int, default=None)
+    p_pat.add_argument("--family", required=True, help=_FAMILY_HELP)
     p_pat.add_argument("--out", default=None)
 
     p_hom = sub.add_parser("hom", help="compute one homomorphism count")
@@ -92,49 +85,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--total", type=int, default=200, help="bipartite only")
     p_gen.add_argument("--paulus-file", default=None)
 
-    def add_eval_args(p, with_out=True):
+    def add_data_args(p):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--dataset", help="TU-format directory")
         group.add_argument("--generate", choices=["csl", "bipartite", "paulus"])
         p.add_argument("--name", default=None, help="dataset name if ambiguous")
-        p.add_argument("--family", required=True, help="e.g. trees:6 or cycles:8")
-        p.add_argument("--max-size", type=int, default=None)
+        p.add_argument("--family", required=True, help=_FAMILY_HELP)
         p.add_argument("--phi", choices=["auto", "constant"], default="auto")
         p.add_argument("--density", action="store_true")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)
-        if with_out:
-            p.add_argument("--out", default=None)
 
     p_emb = sub.add_parser("embed", help="write an embedding matrix as CSV")
-    add_eval_args(p_emb, with_out=False)
+    add_data_args(p_emb)
     p_emb.add_argument("--log1p", action="store_true")
     p_emb.add_argument("--out", required=True, help="output CSV path")
 
-    p_eval = sub.add_parser("eval", help="repeated stratified k-fold cross-validation")
-    add_eval_args(p_eval)
-    p_eval.add_argument("--k", type=int, default=10)
-    p_eval.add_argument("--repeats", type=int, default=10)
-    p_eval.add_argument("--l2", type=float, default=evaluate.Hyper().l2)
-    p_eval.add_argument("--lr", type=float, default=evaluate.Hyper().lr)
-    p_eval.add_argument("--epochs", type=int, default=evaluate.Hyper().epochs)
-
-    p_bench = sub.add_parser("bench", help="time the embed and train/predict phases")
-    add_eval_args(p_bench)
-    p_bench.add_argument("--k", type=int, default=10)
-    p_bench.add_argument("--repeats", type=int, default=1)
-    p_bench.add_argument("--l2", type=float, default=evaluate.Hyper().l2)
-    p_bench.add_argument("--lr", type=float, default=evaluate.Hyper().lr)
-    p_bench.add_argument("--epochs", type=int, default=evaluate.Hyper().epochs)
+    # bench is eval with one repeat by default, reporting its layer times
+    for command, repeats, help_text in (
+        ("eval", 10, "repeated stratified k-fold cross-validation"),
+        ("bench", 1, "cross-validation timed by layer: embed, train/predict"),
+    ):
+        p_cv = sub.add_parser(command, help=help_text)
+        add_data_args(p_cv)
+        p_cv.add_argument("--out", default=None)
+        p_cv.add_argument("--k", type=int, default=10)
+        p_cv.add_argument("--repeats", type=int, default=repeats)
+        p_cv.add_argument("--l2", type=float, default=evaluate.Hyper().l2)
+        p_cv.add_argument("--lr", type=float, default=evaluate.Hyper().lr)
+        p_cv.add_argument("--epochs", type=int, default=evaluate.Hyper().epochs)
 
     return parser
 
 
 def _cmd_patterns(args) -> int:
-    spec = _family_spec(args)
-    catalog = resolve_family(spec)
+    catalog = resolve_family(args.family)
     payload = {
-        "config": {"family": spec},
+        "config": {"family": args.family},
         "patterns": [
             {
                 "family": p.family,
@@ -206,17 +193,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_embed(args) -> int:
     bundle = _load_bundle(args)
-    spec = _family_spec(args)
     matrix = embedding.embed(
         bundle,
-        spec,
+        args.family,
         phi_set=_phi_set(args),
         density=args.density,
         log1p=args.log1p,
         threads=args.threads,
     )
     config = {
-        "family": spec,
+        "family": args.family,
         "phi": args.phi,
         "density": args.density,
         "log1p": args.log1p,
@@ -228,47 +214,40 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_cv(args) -> int:
+    """`eval` and `bench`: one cross-validation run, reported two ways."""
     bundle = _load_bundle(args)
-    spec = _family_spec(args)
-    hyper = evaluate.Hyper(l2=args.l2, lr=args.lr, epochs=args.epochs)
     report = evaluate.cross_validate(
         bundle,
-        spec,
+        args.family,
         phi_set=_phi_set(args),
         density=args.density,
-        hyper=hyper,
+        hyper=evaluate.Hyper(l2=args.l2, lr=args.lr, epochs=args.epochs),
         k=args.k,
         seed=args.seed,
         repeats=args.repeats,
         threads=args.threads,
     )
-    payload = report.to_dict()
+    if args.command == "bench":
+        layers = report.layer_seconds
+        echoed = ("family", "density", "classifier", "k", "repeats")
+        timing = {
+            "dataset": bundle.name,
+            "num_graphs": len(bundle.graphs),
+            "embed_seconds": layers["embed"],
+            "train_predict_seconds": layers["train_predict"],
+            "total_seconds": layers["embed"] + layers["train_predict"],
+            "mean_accuracy": report.mean,
+            "config": {key: report.config[key] for key in echoed} | {"seed": report.seed},
+        }
+        _emit(timing, args.out)
+        return 0
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     print(
-        f"{bundle.name} {spec}: mean={report.mean:.4f} std={report.stddev:.4f} "
+        f"{bundle.name} {args.family}: mean={report.mean:.4f} std={report.stddev:.4f} "
         f"(k={args.k}, repeats={args.repeats}, seed={args.seed})"
     )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    bundle = _load_bundle(args)
-    spec = _family_spec(args)
-    hyper = evaluate.Hyper(l2=args.l2, lr=args.lr, epochs=args.epochs)
-    timing = evaluate.bench_runtime(
-        bundle,
-        spec,
-        phi_set=_phi_set(args),
-        density=args.density,
-        hyper=hyper,
-        k=args.k,
-        seed=args.seed,
-        repeats=args.repeats,
-        threads=args.threads,
-    )
-    _emit(timing, args.out)
     return 0
 
 
@@ -277,8 +256,8 @@ _COMMANDS = {
     "hom": _cmd_hom,
     "gen": _cmd_gen,
     "embed": _cmd_embed,
-    "eval": _cmd_eval,
-    "bench": _cmd_bench,
+    "eval": _cmd_cv,
+    "bench": _cmd_cv,
 }
 
 

@@ -1,4 +1,4 @@
-"""Cross-validation, a lightweight multiclass classifier, and runtime benchmarks.
+"""Cross-validation with per-layer timings, and a lightweight multiclass classifier.
 
 The classifier is multinomial logistic regression trained by full-batch
 gradient descent from a zero initialization, so results are a deterministic
@@ -41,16 +41,10 @@ class CVReport:
     seed: int
     config: dict = field(default_factory=dict)
     wall_time_seconds: float = 0.0
+    layer_seconds: dict = field(default_factory=dict)  # "embed", "train_predict"
 
     def to_dict(self) -> dict:
-        return {
-            "fold_accuracies": self.fold_accuracies,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "seed": self.seed,
-            "config": self.config,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
+        return dict(vars(self))  # fields in declaration order; values are not copied
 
 
 def stratified_kfold(
@@ -191,12 +185,6 @@ def _fold_seed(seed: int, repeat: int) -> int:
     return seed * 1_000_003 + repeat
 
 
-def _repeat_splits(
-    labels: Sequence[int], k: int, seed: int, repeats: int
-) -> list[list[tuple[list[int], list[int]]]]:
-    return [stratified_kfold(labels, k=k, seed=_fold_seed(seed, r)) for r in range(repeats)]
-
-
 def _run_folds(
     matrix: EmbeddingMatrix,
     bundle: DatasetBundle,
@@ -259,12 +247,18 @@ def cross_validate(
 ) -> CVReport:
     """Repeated stratified k-fold CV; the standardizer is fitted per fold on
     training rows only, so no test statistics leak into scaling.
-    `config["epochs_run"]` holds the epochs each fold trained, in fold order."""
+    `config["epochs_run"]` holds the epochs each fold trained, in fold order,
+    and `layer_seconds` the wall-clock time of the embed and train+predict
+    layers."""
     start = time.perf_counter()
-    splits = _repeat_splits(bundle.labels, k, seed, repeats)
+    splits = [stratified_kfold(bundle.labels, k=k, seed=_fold_seed(seed, r))
+              for r in range(repeats)]
+    embed_start = time.perf_counter()
     matrix = embed(bundle, family, phi_set=phi_set, density=density, threads=threads)
+    embed_end = time.perf_counter()
     details: Optional[list[dict]] = [] if collect_fold_details else None
     accuracies, epochs_run = _run_folds(matrix, bundle, hyper, splits, details)
+    train_end = time.perf_counter()
     acc = np.asarray(accuracies)
     config = {
         "dataset": bundle.name,
@@ -285,41 +279,6 @@ def cross_validate(
         seed=seed,
         config=config,
         wall_time_seconds=time.perf_counter() - start,
+        layer_seconds={"embed": embed_end - embed_start, "train_predict": train_end - embed_end},
     )
 
-
-def bench_runtime(
-    bundle: DatasetBundle,
-    family: Union[str, Sequence],
-    phi_set: Optional[Sequence[PhiFunction]] = None,
-    density: bool = False,
-    hyper: Hyper = Hyper(),
-    k: int = 10,
-    seed: int = 0,
-    repeats: int = 1,
-    threads: int = 1,
-) -> dict:
-    """Wall-clock split of a CV run: embedding time vs train/predict time."""
-    splits = _repeat_splits(bundle.labels, k, seed, repeats)
-    t0 = time.perf_counter()
-    matrix = embed(bundle, family, phi_set=phi_set, density=density, threads=threads)
-    embed_seconds = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    accuracies, _ = _run_folds(matrix, bundle, hyper, splits)
-    train_seconds = time.perf_counter() - t1
-    return {
-        "dataset": bundle.name,
-        "num_graphs": len(bundle.graphs),
-        "embed_seconds": embed_seconds,
-        "train_predict_seconds": train_seconds,
-        "total_seconds": embed_seconds + train_seconds,
-        "mean_accuracy": float(np.mean(accuracies)) if accuracies else None,
-        "config": {
-            "family": family,
-            "density": density,
-            "classifier": {"l2": hyper.l2, "lr": hyper.lr, "epochs": hyper.epochs},
-            "k": k,
-            "repeats": repeats,
-            "seed": seed,
-        },
-    }

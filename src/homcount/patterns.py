@@ -135,13 +135,21 @@ def canonical_adjacency_code(g: Graph) -> str:
 
     Exact (minimum over all relabelings) up to 8 vertices. Larger graphs get
     a color-refinement signature instead, which is isomorphism-invariant but
-    may collide for refinement-equivalent non-isomorphic graphs.
+    may collide for refinement-equivalent non-isomorphic graphs. The search
+    puts a minimum-degree vertex first and its d neighbors last: only that
+    gives the smallest possible first row, 0^(n-1-d) 1^d.
     """
     n = g.num_vertices
     if n <= 8:
         best: Optional[str] = None
-        verts = list(range(n))
-        for perm in itertools.permutations(verts):
+        delta = min((g.degree(v) for v in range(n)), default=0)
+        perms = (
+            (first, *middle, *tail)
+            for first in range(n) if g.degree(first) == delta
+            for middle in itertools.permutations(set(range(n)) - {first} - g.neighbor_sets[first])
+            for tail in itertools.permutations(g.adjacency[first])
+        )
+        for perm in perms:
             bits = []
             for i in range(n):
                 row = ["1" if g.has_edge(perm[i], perm[j]) else "0" for j in range(i + 1, n)]
@@ -529,11 +537,21 @@ def load_pattern_file(path: str | Path) -> list[Graph]:
     return parse_pattern_blocks(Path(path).read_text())
 
 
-def resolve_family(spec: str) -> list[Pattern]:
-    """Parse a family spec like 'trees:6', 'cycles:8', 'stars:4', 'paths:5'.
+def _spec_int(spec: str, text: str, what: str = "size", least: Optional[int] = None) -> int:
+    """The integer `text` read from `spec`, or a ValueError that quotes the spec."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"spec {spec!r} needs an integer {what}, got {text!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"spec {spec!r} needs a {what} of at least {least}")
+    return value
 
-    A bare file path loads custom patterns from the block format.
-    """
+
+def resolve_family(spec: str) -> list[Pattern]:
+    """Parse a family spec `name:K` ('trees:6', 'cycles:8', 'stars:4',
+    'paths:5') or `file:PATH`, which loads custom patterns from the block
+    format."""
     name, _, arg = spec.partition(":")
     name = name.lower()
     builders = {
@@ -543,9 +561,7 @@ def resolve_family(spec: str) -> list[Pattern]:
         "paths": enumerate_paths,
     }
     if name in builders:
-        if not arg:
-            raise ValueError(f"family {name!r} needs a size, e.g. {name}:6")
-        return builders[name](int(arg))
+        return builders[name](_spec_int(spec, arg))
     if name == "file":
         return [custom_pattern(g) for g in load_pattern_file(arg)]
     raise ValueError(f"unknown pattern family {spec!r}")
@@ -562,13 +578,14 @@ def pattern_from_spec(spec: str) -> Pattern:
     name = name.lower()
     if name == "edge":
         return _path_pattern(2)
-    shapes = {"cycle": _cycle_pattern, "path": _path_pattern, "star": _star_pattern}
+    shapes = {"cycle": (_cycle_pattern, 3), "path": (_path_pattern, 1), "star": (_star_pattern, 1)}
     if name in shapes:
-        return shapes[name](int(arg))
+        build, least = shapes[name]
+        return build(_spec_int(spec, arg, least=least))
     if name == "file":
         path, _, index = arg.partition("#")
+        i = _spec_int(spec, index, "block index") if index else 0
         graphs = load_pattern_file(path)
-        i = int(index) if index else 0
         if not 0 <= i < len(graphs):
             raise ValueError(f"pattern index {i} out of range: {path} holds {len(graphs)} blocks")
         return custom_pattern(graphs[i])

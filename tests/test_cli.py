@@ -3,6 +3,8 @@ import json
 import pytest
 
 from homcount.cli import main
+from homcount.datasets import gen_csl
+from homcount.evaluate import Hyper, cross_validate
 
 
 @pytest.fixture
@@ -14,7 +16,7 @@ def k3_file(tmp_path):
 
 class TestPatterns:
     def test_trees_six(self, capsys):
-        assert main(["patterns", "--family", "trees", "--max-size", "6"]) == 0
+        assert main(["patterns", "--family", "trees:6"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["patterns"]) == 13
         assert {p["family"] for p in payload["patterns"]} == {"tree"}
@@ -26,6 +28,10 @@ class TestPatterns:
 
     def test_missing_size_is_data_error(self, capsys):
         assert main(["patterns", "--family", "trees"]) == 2
+
+    def test_unknown_family_is_named(self, capsys):
+        assert main(["patterns", "--family", "bogus"]) == 2
+        assert "unknown pattern family 'bogus'" in capsys.readouterr().err
 
 
 class TestHom:
@@ -106,7 +112,8 @@ class TestGenEvalPipeline:
         assert main(["eval", "--generate", "paulus", "--out", str(direct)] + args) == 0
         a = json.loads(piped.read_text())
         b = json.loads(direct.read_text())
-        a.pop("wall_time_seconds"), b.pop("wall_time_seconds")
+        for report in (a, b):
+            report.pop("wall_time_seconds"), report.pop("layer_seconds")
         # generated bundle and parsed TU copy carry the same graphs, so the
         # reports agree except for the dataset echo; normalize that
         a["config"].pop("dataset"), b["config"].pop("dataset")
@@ -140,13 +147,35 @@ class TestBenchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["embed_seconds"] > 0 and payload["train_predict_seconds"] > 0
 
+    def test_bench_is_one_repeat_of_cv(self, capsys):
+        code = main([
+            "bench", "--generate", "csl", "--family", "cycles:8", "--k", "5", "--seed", "0",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [
+            "dataset", "num_graphs", "embed_seconds", "train_predict_seconds",
+            "total_seconds", "mean_accuracy", "config",
+        ]
+        assert payload["total_seconds"] == (
+            payload["embed_seconds"] + payload["train_predict_seconds"]
+        )
+        assert payload["config"] == {
+            "family": "cycles:8", "density": False,
+            "classifier": {"l2": Hyper().l2, "lr": Hyper().lr, "epochs": Hyper().epochs},
+            "k": 5, "repeats": 1, "seed": 0,
+        }
+        report = cross_validate(gen_csl(seed=0), "cycles:8", k=5, seed=0, repeats=1)
+        assert payload["dataset"] == "CSL" and payload["num_graphs"] == 150
+        assert payload["mean_accuracy"] == report.mean
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
     def test_unknown_flag(self, capsys):
-        assert main(["patterns", "--family", "trees", "--max-size", "6", "--bogus"]) == 1
+        assert main(["patterns", "--family", "trees:6", "--bogus"]) == 1
 
     def test_missing_dataset_dir(self, capsys):
         assert main(["eval", "--dataset", "/nope", "--family", "cycles:8"]) == 2
@@ -155,6 +184,19 @@ class TestExitCodes:
         code = main(["eval", "--generate", "csl", "--family", "cycles:4", "--k", "200"])
         assert code == 2
         assert "k=200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [("--pattern", "cycle"), ("--pattern", "cycle:x"), ("--pattern", "path:0"),
+         ("--pattern", "star:0"), ("--pattern", "cycle:2"), ("--pattern", "file:{k3}#x"),
+         ("--family", "trees:x")],
+    )
+    def test_bad_spec_is_named(self, k3_file, flag, spec, capsys):
+        spec = spec.format(k3=k3_file)
+        argv = ["hom", "--graph", k3_file] if flag == "--pattern" else ["patterns"]
+        assert main(argv + [flag, spec]) == 2
+        err = capsys.readouterr().err
+        assert repr(spec) in err and "invalid literal" not in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -7,7 +7,6 @@ from homcount.embedding import apply_standardizer, embed, fit_standardizer
 from homcount.evaluate import (
     Hyper,
     _fold_seed,
-    bench_runtime,
     cross_validate,
     predict,
     stratified_kfold,
@@ -114,7 +113,8 @@ class TestCrossValidate:
         a = cross_validate(tiny_csl(), "cycles:8", k=5, seed=4, repeats=2)
         b = cross_validate(tiny_csl(), "cycles:8", k=5, seed=4, repeats=2)
         da, db = a.to_dict(), b.to_dict()
-        da.pop("wall_time_seconds"), db.pop("wall_time_seconds")
+        for d in (da, db):
+            d.pop("wall_time_seconds"), d.pop("layer_seconds")
         assert da == db
 
     def test_no_leakage_scaler_fitted_on_train_rows(self):
@@ -147,13 +147,12 @@ class TestCrossValidate:
 
 class TestBench:
     def test_timing_fields(self):
-        timing = bench_runtime(tiny_csl(), "cycles:8", k=5, seed=0)
-        assert timing["embed_seconds"] > 0
-        assert timing["train_predict_seconds"] > 0
-        assert timing["total_seconds"] == pytest.approx(
-            timing["embed_seconds"] + timing["train_predict_seconds"]
-        )
-        assert timing["config"]["seed"] == 0
+        rep = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=1)
+        layers = rep.layer_seconds
+        assert list(layers) == ["embed", "train_predict"]
+        assert layers["embed"] >= 0 and layers["train_predict"] >= 0
+        assert layers["embed"] + layers["train_predict"] <= rep.wall_time_seconds
+        assert rep.to_dict()["layer_seconds"] == layers
 
     def test_empty_pattern_config(self):
         bundle = DatasetBundle(
@@ -165,10 +164,10 @@ class TestBench:
 
         m = embed(bundle, [])
         assert m.values.shape == (4, 0)
-        # a bench over zero columns still reports timings instead of erroring
-        timing = bench_runtime(bundle, [], k=2, seed=0)
-        assert timing["embed_seconds"] >= 0
-        assert timing["total_seconds"] >= 0
+        # CV over zero columns still reports layer timings instead of erroring
+        rep = cross_validate(bundle, [], k=2, seed=0, repeats=1)
+        assert rep.layer_seconds["embed"] >= 0
+        assert rep.layer_seconds["train_predict"] >= 0
 
 
 def reference_cv(bundle, family, hyper, k, seed, repeats):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import brute_isomorphic, random_connected_graph
+from conftest import brute_isomorphic, random_connected_graph, random_simple_graph
 from homcount.graphs import Graph
 from homcount.patterns import (
     TreeDecomposition,
@@ -122,6 +122,27 @@ class TestCanonicalCodes:
             rng.shuffle(sigma)
             relabeled = Graph(g.num_vertices, [(sigma[u], sigma[v]) for u, v in g.edges()])
             assert canonical_adjacency_code(g) == canonical_adjacency_code(relabeled)
+
+    def test_adjacency_code_equals_full_search(self):
+        rng = random.Random(31)
+        graphs = [random_simple_graph(rng, rng.randint(0, 6), rng.random()) for _ in range(300)]
+        for g in graphs + [cycle_graph(k) for k in range(3, 9)]:
+            assert canonical_adjacency_code(g) == reference_adjacency_code(g)
+
+
+def reference_adjacency_code(g: Graph) -> str:
+    """Oracle: the minimum adjacency bitstring over all n! relabelings."""
+    n = g.num_vertices
+    best = None
+    for perm in itertools.permutations(range(n)):
+        bits = []
+        for i in range(n):
+            row = ["1" if g.has_edge(perm[i], perm[j]) else "0" for j in range(i + 1, n)]
+            bits.append("".join(row))
+        s = "".join(bits)
+        if best is None or s < best:
+            best = s
+    return f"g{n}:{best or ''}"
 
 
 def brute_treewidth(g: Graph) -> int:
