@@ -65,7 +65,8 @@ def validate_bundle(bundle: DatasetBundle) -> None:
 def _read_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
-    return path.read_text().splitlines()
+    # An undecodable byte becomes U+FFFD, which fails its token's parse.
+    return path.read_text(encoding="utf-8", errors="replace").splitlines()
 
 
 def _int_token(token: str, path: Path, lineno: int) -> int:
@@ -93,7 +94,9 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
     # indicator files parse correctly too.
     local_index = []
     vertex_graph = []
-    for gid in indicator:
+    for lineno, gid in enumerate(indicator, start=1):
+        if gid < 1:
+            raise DataFormatError(f"{ind_path.name}:{lineno}: graph id must be >= 1, got {gid}")
         vertex_graph.append(gid - 1)
         local_index.append(sizes[gid - 1])
         sizes[gid - 1] += 1
@@ -157,6 +160,10 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
                 raise DataFormatError(
                     f"{na_path.name}:{lineno}: expected comma-separated reals"
                 ) from None
+            if len(rows[-1]) != len(rows[0]) or not np.isfinite(rows[-1]).all():
+                raise DataFormatError(
+                    f"{na_path.name}:{lineno}: expected {len(rows[0])} finite reals, got {line!r}"
+                )
         attrs = np.asarray(rows, dtype=np.float64)
         if attrs.shape[0] != len(indicator):
             raise DataFormatError(f"{na_path.name}: expected {len(indicator)} rows")

@@ -7,10 +7,13 @@ function of (data, hyperparameters); all shuffling flows from explicit seeds.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -102,8 +105,6 @@ def _train_stack(
     """
     f, n, d = x.shape
     c = num_classes
-    onehot = np.zeros((f, n, c))
-    np.put_along_axis(onehot, y[:, :, None], 1.0, axis=2)
     weights = np.zeros((f, d, c))
     biases = np.zeros((f, 1, c))
     epochs_run = np.full(f, hyper.epochs)
@@ -114,6 +115,7 @@ def _train_stack(
         if z is None:
             m = len(live)
             xt = x.transpose(0, 2, 1)
+            hot = np.arange(m * n) * c + y.reshape(-1)  # each row's label in flat z
             z = np.empty((m, n, c))
             rows = np.empty((m, n, 1))
             gw, gw_tmp = np.empty((m, d, c)), np.empty((m, d, c))
@@ -125,7 +127,7 @@ def _train_stack(
         np.exp(z, out=z)
         z.sum(axis=2, keepdims=True, out=rows)
         z /= rows  # softmax probabilities
-        z -= onehot
+        z.reshape(-1)[hot] -= 1.0  # minus the one-hot labels; p - 0.0 == p
         z /= n  # the error term
         np.matmul(xt, z, out=gw)
         np.multiply(w, hyper.l2, out=gw_tmp)
@@ -139,7 +141,7 @@ def _train_stack(
             done = live[stop]
             weights[done], biases[done], epochs_run[done] = w[stop], b[stop], epoch
             keep = ~stop
-            live, x, onehot, w, b = live[keep], x[keep], onehot[keep], w[keep], b[keep]
+            live, x, y, w, b = live[keep], x[keep], y[keep], w[keep], b[keep]
             if not len(live):
                 break
             gw, gb, norm, z = gw[keep], gb[keep], norm[keep], None
@@ -173,6 +175,8 @@ def train_classifier(
     if x.shape[0] != y.shape[0]:
         raise ValueError("feature rows and labels must align")
     c = num_classes if num_classes is not None else int(y.max()) + 1
+    if ((y < 0) | (y >= c)).any():
+        raise ValueError(f"labels must lie in 0..{c - 1}")
     w, b, _ = _train_stack(x[None], y[None], c, hyper)
     return LogisticModel(weights=w[0], bias=b[0])
 
@@ -185,6 +189,11 @@ def _fold_seed(seed: int, repeat: int) -> int:
     return seed * 1_000_003 + repeat
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _run_folds(
     matrix: EmbeddingMatrix,
     bundle: DatasetBundle,
@@ -194,42 +203,51 @@ def _run_folds(
 ) -> tuple[list[float], list[int]]:
     """Accuracy and epochs run of every fold, in split order.
 
-    The folds of a repeat train as one stacked program per train-set size;
-    stratified dealing gives at most two sizes.
+    The folds of all repeats with one train-set size (at most two sizes occur)
+    form one stack, cut into a slice per usable CPU. The caller and a worker
+    thread per further slice train them concurrently, as numpy releases the
+    GIL in its ufunc and BLAS calls. Standardizing and prediction stay on the caller.
     """
     labels = np.asarray(bundle.labels, dtype=np.int64)
-    accuracies: list[float] = []
-    epochs_run: list[int] = []
-    for folds in splits:
-        train_x, test_x = [], []
-        by_size: dict[int, list[int]] = {}
-        for i, (train_idx, test_idx) in enumerate(folds):
-            by_size.setdefault(len(train_idx), []).append(i)
-            scaler = fit_standardizer(matrix, rows=train_idx)
-            values = apply_standardizer(matrix, scaler).values
-            train_x.append(values[train_idx])
-            test_x.append(values[test_idx])
-            if details is not None:
-                details.append(
-                    {
-                        "train": list(train_idx),
-                        "test": list(test_idx),
-                        "scaler_mean": scaler.mean.tolist(),
-                        "scaler_stddev": scaler.stddev.tolist(),
-                    }
-                )
-        acc = [0.0] * len(folds)
-        epochs = [0] * len(folds)
-        for group in by_size.values():
-            x = np.stack([train_x[i] for i in group])
-            y = np.stack([labels[folds[i][0]] for i in group])
-            w, b, ran = _train_stack(x, y, bundle.num_classes, hyper)
-            for j, i in enumerate(group):
-                pred = predict(LogisticModel(weights=w[j], bias=b[j]), test_x[i])
-                acc[i] = float(np.mean(pred == labels[folds[i][1]]))
-                epochs[i] = int(ran[j])
-        accuracies += acc
-        epochs_run += epochs
+    folds = [fold for repeat in splits for fold in repeat]
+    by_size: dict[int, list[int]] = {}
+    for i, (train_idx, _) in enumerate(folds):
+        by_size.setdefault(len(train_idx), []).append(i)
+    cpus, d = _usable_cpus(), matrix.values.shape[1]
+    stacks, rows = [], {}  # (folds, x, y) per train-set size; fold -> its rows there
+    for n, group in by_size.items():
+        x, y = np.empty((len(group), n, d)), np.empty((len(group), n), dtype=np.int64)
+        rows.update((i, (x[j], y[j])) for j, i in enumerate(group))
+        stacks.append((group, x, y))
+    test_x = []
+    for i, (train_idx, test_idx) in enumerate(folds):
+        scaler = fit_standardizer(matrix, rows=train_idx)
+        values = apply_standardizer(matrix, scaler).values
+        x_row, y_row = rows[i]
+        x_row[:], y_row[:] = values[train_idx], labels[train_idx]
+        test_x.append(values[test_idx])
+        if details is not None:
+            details.append(
+                {
+                    "train": list(train_idx),
+                    "test": list(test_idx),
+                    "scaler_mean": scaler.mean.tolist(),
+                    "scaler_stddev": scaler.stddev.tolist(),
+                }
+            )
+    models, epochs_run = [None] * len(folds), [0] * len(folds)
+    train = partial(_train_stack, num_classes=bundle.num_classes, hyper=hyper)
+    for group, x, y in stacks:
+        cut = min(cpus, len(group))
+        slices = list(zip(np.array_split(x, cut), np.array_split(y, cut)))  # views of x, y
+        with ThreadPoolExecutor(max(cut - 1, 1)) as pool:  # starts no thread if unused
+            rest = [pool.submit(train, *xy) for xy in slices[1:]]
+            trained = [train(*slices[0])] + [future.result() for future in rest]
+        w, b, ran = (np.concatenate(parts) for parts in zip(*trained))
+        for j, i in enumerate(group):
+            models[i], epochs_run[i] = LogisticModel(weights=w[j], bias=b[j]), int(ran[j])
+    accuracies = [float(np.mean(predict(model, test) == labels[test_idx]))
+                  for model, test, (_, test_idx) in zip(models, test_x, folds)]
     return accuracies, epochs_run
 
 
@@ -249,7 +267,7 @@ def cross_validate(
     training rows only, so no test statistics leak into scaling.
     `config["epochs_run"]` holds the epochs each fold trained, in fold order,
     and `layer_seconds` the wall-clock time of the embed and train+predict
-    layers."""
+    layers. `threads` sets the worker threads of `embed` only."""
     start = time.perf_counter()
     splits = [stratified_kfold(bundle.labels, k=k, seed=_fold_seed(seed, r))
               for r in range(repeats)]

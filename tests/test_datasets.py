@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,86 @@ class TestParserErrors:
         (tmp_path / "X_graph_indicator.txt").write_text("")
         with pytest.raises(DataFormatError, match="X_graph_indicator.txt"):
             parse_tud(tmp_path, "X")
+
+    @pytest.mark.parametrize("gid", ["0", "-1"])
+    def test_graph_id_below_one(self, tmp_path, gid):
+        # 0 used to land the vertex in the last graph; -1 was an IndexError
+        self._write(tmp_path, ["1, 2", "2, 1"], ["1", gid, "2"], ["0", "1"])
+        with pytest.raises(DataFormatError, match=f"indicator.txt:2: graph id must be >= 1, got {gid}"):
+            parse_tud(tmp_path, "X")
+
+    @pytest.mark.parametrize(
+        "rows", [["1, 2", "3"], ["1, 2", "nan, 1"], ["1, 2", "2, inf"]], ids=["ragged", "nan", "inf"]
+    )
+    def test_bad_node_attributes(self, tmp_path, rows):
+        # ragged rows were numpy's ValueError, nan became 0.0 and inf a NaN feature
+        self._write(tmp_path, ["1, 2", "2, 1"], ["1", "1"], ["0"])
+        (tmp_path / "X_node_attributes.txt").write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match="X_node_attributes.txt:2: expected 2 finite"):
+            parse_tud(tmp_path, "X")
+
+    @pytest.mark.parametrize("suffix", ["A", "graph_indicator", "graph_labels", "node_labels"])
+    def test_undecodable_byte(self, tmp_path, suffix):
+        for src in (FIXTURES / "TOY").iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        path = tmp_path / f"TOY_{suffix}.txt"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+        with pytest.raises(DataFormatError, match=f"TOY_{suffix}.txt:1:"):
+            parse_tud(tmp_path, "TOY")
+
+
+class TestParserFuzz:
+    """Seeded line and byte mutations of the TOY files: `parse_tud` returns a
+    valid bundle or raises `DataFormatError`, and nothing else escapes."""
+
+    TOKENS = ("0", "-1", "x", "nan", "")
+    # real-valued attributes next to TOY's node labels, so the fuzz reaches that reader too
+    ATTRIBUTES = b"0.5, 1\n2, -3\n0.25, 0\n1e3, 2\n-1, 2\n0, 0\n7, 1\n"
+
+    def _mutate(self, rng, data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        kind = rng.choice(["drop", "duplicate", "swap", "token", "byte"])
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            tokens = lines[i].split(b",")
+            tokens[rng.randrange(len(tokens))] = rng.choice(self.TOKENS).encode()
+            lines[i] = b",".join(tokens)
+        else:
+            at = rng.randrange(len(data) + 1)
+            return data[:at] + b"\xff" + data[at:]
+        return b"\n".join(lines)
+
+    def test_only_data_format_errors_escape(self, tmp_path):
+        rng = random.Random(0)
+        sources = {src.name: src.read_bytes() for src in (FIXTURES / "TOY").iterdir()}
+        sources["TOY_node_attributes.txt"] = self.ATTRIBUTES
+        outcomes = {"bundle": 0, "error": 0}
+        for trial in range(400):
+            files = dict(sources)
+            for _ in range(rng.randint(1, 3)):
+                name = rng.choice(sorted(files))
+                files[name] = self._mutate(rng, files[name])
+            directory = tmp_path / str(trial)
+            directory.mkdir()
+            for name, data in files.items():
+                (directory / name).write_bytes(data)
+            try:
+                bundle = parse_tud(directory, "TOY")
+            except DataFormatError as err:
+                assert "TOY_" in str(err), (trial, files)
+                outcomes["error"] += 1
+                continue
+            outcomes["bundle"] += 1
+            for g, f in zip(bundle.graphs, bundle.features):
+                assert f.shape[0] == g.num_vertices, (trial, files)
+                assert np.isfinite(f).all() and f.min() >= 0.0 and f.max() <= 1.0, (trial, files)
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestRoundTrip:

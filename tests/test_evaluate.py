@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import reference_train
+from homcount import evaluate
 from homcount.datasets import DatasetBundle, gen_csl, load_paulus
 from homcount.embedding import apply_standardizer, embed, fit_standardizer
 from homcount.evaluate import (
@@ -89,6 +92,12 @@ class TestClassifier:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="align"):
             train_classifier(np.zeros((3, 2)), [0, 1])
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_out_of_range(self, label):
+        # the flat label index must not reach a neighbouring row's entries
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
+            train_classifier(np.zeros((3, 2)), [0, 1, label], num_classes=2)
 
 
 def tiny_csl():
@@ -210,12 +219,38 @@ REFERENCE_CASES = {
 class TestStackedTrainingMatchesReference:
     @pytest.mark.filterwarnings("ignore:class .* members")
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-    def test_fold_accuracies_and_epochs(self, case):
+    def test_fold_accuracies_and_epochs(self, case, monkeypatch):
         make, family, hyper, k, repeats = REFERENCE_CASES[case]
         bundle = make()
-        rep = cross_validate(bundle, family, hyper=hyper, k=k, seed=0, repeats=repeats)
         accuracies, epochs = reference_cv(bundle, family, hyper, k, 0, repeats)
-        assert rep.fold_accuracies == accuracies
-        assert rep.config["epochs_run"] == epochs
         if case == "early-stop":
             assert epochs == [hyper.epochs] * 3 + [0]
+        # one slice, two, three, and one per fold with CPUs to spare
+        for cpus in (1, 2, 3, k * repeats + 1):
+            monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+            rep = cross_validate(bundle, family, hyper=hyper, k=k, seed=0, repeats=repeats)
+            assert rep.fold_accuracies == accuracies, f"{cpus} CPUs"
+            assert rep.config["epochs_run"] == epochs, f"{cpus} CPUs"
+
+    def test_only_training_leaves_the_calling_thread(self, monkeypatch):
+        threads: dict[str, set[int]] = {}
+
+        def record(name):
+            inner = getattr(evaluate, name)
+
+            def wrapper(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(evaluate, name, wrapper)
+
+        traced = ("fit_standardizer", "apply_standardizer", "predict")
+        for name in traced + ("_train_stack",):
+            record(name)
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        cross_validate(tiny_csl(), "cycles:8", hyper=Hyper(epochs=20), k=5, seed=0, repeats=2)
+        caller = threading.get_ident()
+        for name in traced:
+            assert threads[name] == {caller}, name
+        # the caller trains one slice, a worker thread the other
+        assert caller in threads["_train_stack"] and len(threads["_train_stack"]) == 2
