@@ -168,7 +168,11 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
         if attrs.shape[0] != len(indicator):
             raise DataFormatError(f"{na_path.name}: expected {len(indicator)} rows")
         # Min-max scale each attribute into [0, 1]; constant columns go to 0.
+        # Halve a column whose span overflows (-1e308..1e308, say); halving is exact.
         lo, hi = attrs.min(axis=0), attrs.max(axis=0)
+        with np.errstate(over="ignore"):
+            half = np.where(np.isinf(hi - lo), 0.5, 1.0)
+        attrs, lo, hi = attrs * half, lo * half, hi * half
         span = np.where(hi > lo, hi - lo, 1.0)
         blocks.append(np.where(hi > lo, (attrs - lo) / span, 0.0))
     if blocks:

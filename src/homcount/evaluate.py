@@ -44,7 +44,7 @@ class CVReport:
     seed: int
     config: dict = field(default_factory=dict)
     wall_time_seconds: float = 0.0
-    layer_seconds: dict = field(default_factory=dict)  # "embed", "train_predict"
+    layer_seconds: dict = field(default_factory=dict)  # "embed", "train_predict", "train"
 
     def to_dict(self) -> dict:
         return dict(vars(self))  # fields in declaration order; values are not copied
@@ -89,17 +89,46 @@ def stratified_kfold(
     return folds
 
 
+def _sum_classes(z: np.ndarray, acc: np.ndarray) -> None:
+    """Sum class-major `z` (m, C, n) over its classes into `acc[:, :1]`, in the
+    order of numpy's pairwise sum over a contiguous row of C, so each total is
+    bit-identical to the row-major `sum(axis=-1)`. `acc` is (m, k, n), k >= C."""
+    c = z.shape[1]
+    total = acc[:, :1]
+    if c > 128:  # halves, the first a multiple of 8
+        half = c // 2 - c // 2 % 8
+        _sum_classes(z[:, :half], acc)
+        _sum_classes(z[:, half:], acc[:, 1:])
+        total += acc[:, 1:2]
+        return
+    tail = c - c % 8  # the classes from here on are added in sequence
+    if c < 8:
+        total.fill(0.0)  # numpy starts a short row from 0.0
+    else:  # eight interleaved partial sums, combined pairwise
+        r = acc[:, :8]
+        np.copyto(r, z[:, :8])
+        for j in range(8, tail, 8):
+            r += z[:, j : j + 8]
+        np.add(r[:, 0::2], r[:, 1::2], out=r[:, 0::2])  # r0+r1, r2+r3, r4+r5, r6+r7
+        np.add(r[:, 0::4], r[:, 2::4], out=r[:, 0::4])  # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+        np.add(r[:, :1], r[:, 4:5], out=total)
+    for j in range(tail, c):
+        total += z[:, j : j + 1]
+
+
 def _train_stack(
     x: np.ndarray, y: np.ndarray, num_classes: int, hyper: Hyper
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Train F same-shaped classifiers as one stacked program.
 
     `x` is (F, n, d) and `y` is (F, n). Every fold runs the arithmetic of a
-    single 2-D fit, op for op: batched matmul makes one BLAS product per
-    fold, and the row-major (F, n, C) layout keeps each softmax, row and
-    norm reduction in the 2-D order, so each fold's result is bit-identical
-    to training it alone. A fold whose gradient norm falls below 1e-15
-    stops there and leaves the stack; the rest keep training.
+    single 2-D fit, op for op, so each fold's result is bit-identical to
+    training it alone. Batched matmul makes one BLAS product per fold. The
+    softmax runs on class-major (F, C, n) scores, so each reduction over the
+    classes is elementwise over n rows; the error term is then laid out
+    row-major for the weight gradient and sample-major for the bias gradient.
+    A fold whose gradient norm falls below 1e-15 stops there and leaves the
+    stack; the rest keep training.
 
     Returns weights (F, d, C), biases (F, C) and the epochs each fold ran.
     """
@@ -110,29 +139,33 @@ def _train_stack(
     epochs_run = np.full(f, hyper.epochs)
     live = np.arange(f)  # the folds still in the stack, in stack order
     w, b = weights.copy(), biases.copy()
-    z = None  # work buffers, sized to the live stack
+    zc = None  # work buffers, sized to the live stack
     for epoch in range(hyper.epochs):
-        if z is None:
+        if zc is None:
             m = len(live)
             xt = x.transpose(0, 2, 1)
-            hot = np.arange(m * n) * c + y.reshape(-1)  # each row's label in flat z
-            z = np.empty((m, n, c))
-            rows = np.empty((m, n, 1))
+            # each row's label in flat class-major scores: f*C*n + y*n + i
+            hot = ((np.arange(m) * c * n)[:, None] + y * n + np.arange(n)).reshape(-1)
+            zc, zr = np.empty((m, c, n)), np.empty((m, n, c))
+            zs = zc.reshape(n, m, c)  # zc's memory, sample-major
+            acc = zr.reshape(m, c, n)  # zr's memory, free until the error term
+            rows = acc[:, :1]  # row max, then row sum
             gw, gw_tmp = np.empty((m, d, c)), np.empty((m, d, c))
             gb, gb_sq = np.empty((m, 1, c)), np.empty((m, 1, c))
-        np.matmul(x, w, out=z)
-        z += b
-        z.max(axis=2, keepdims=True, out=rows)
-        z -= rows
-        np.exp(z, out=z)
-        z.sum(axis=2, keepdims=True, out=rows)
-        z /= rows  # softmax probabilities
-        z.reshape(-1)[hot] -= 1.0  # minus the one-hot labels; p - 0.0 == p
-        z /= n  # the error term
-        np.matmul(xt, z, out=gw)
+        np.matmul(w.transpose(0, 2, 1), xt, out=zc)
+        zc += b.transpose(0, 2, 1)
+        zc.max(axis=1, keepdims=True, out=rows)
+        zc -= rows
+        np.exp(zc, out=zc)
+        _sum_classes(zc, acc)
+        zc /= rows  # softmax probabilities
+        zc.reshape(-1)[hot] -= 1.0  # minus the one-hot labels; p - 0.0 == p
+        np.divide(zc.transpose(0, 2, 1), n, out=zr)  # the error term, row-major
+        np.matmul(xt, zr, out=gw)
         np.multiply(w, hyper.l2, out=gw_tmp)
         gw += gw_tmp
-        z.sum(axis=1, keepdims=True, out=gb)
+        np.copyto(zs, zr.transpose(1, 0, 2))
+        np.add.reduce(zs, axis=0, out=gb[:, 0])
         np.multiply(gw, gw, out=gw_tmp)
         np.multiply(gb, gb, out=gb_sq)
         norm = np.sqrt(gw_tmp.reshape(m, d * c).sum(axis=1) + gb_sq.reshape(m, c).sum(axis=1))
@@ -144,7 +177,7 @@ def _train_stack(
             live, x, y, w, b = live[keep], x[keep], y[keep], w[keep], b[keep]
             if not len(live):
                 break
-            gw, gb, norm, z = gw[keep], gb[keep], norm[keep], None
+            gw, gb, norm, zc = gw[keep], gb[keep], norm[keep], None
         scale = (hyper.lr / norm)[:, None, None]
         gw *= scale
         w -= gw
@@ -174,6 +207,10 @@ def train_classifier(
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] != y.shape[0]:
         raise ValueError("feature rows and labels must align")
+    if not len(x):
+        raise ValueError("there are no training rows")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     c = num_classes if num_classes is not None else int(y.max()) + 1
     if ((y < 0) | (y >= c)).any():
         raise ValueError(f"labels must lie in 0..{c - 1}")
@@ -200,8 +237,8 @@ def _run_folds(
     hyper: Hyper,
     splits: list[list[tuple[list[int], list[int]]]],
     details: Optional[list[dict]] = None,
-) -> tuple[list[float], list[int]]:
-    """Accuracy and epochs run of every fold, in split order.
+) -> tuple[list[float], list[int], float]:
+    """Per-fold accuracies and epochs run, in split order, and the training wall time.
 
     The folds of all repeats with one train-set size (at most two sizes occur)
     form one stack, cut into a slice per usable CPU. The caller and a worker
@@ -237,6 +274,7 @@ def _run_folds(
             )
     models, epochs_run = [None] * len(folds), [0] * len(folds)
     train = partial(_train_stack, num_classes=bundle.num_classes, hyper=hyper)
+    train_start = time.perf_counter()
     for group, x, y in stacks:
         cut = min(cpus, len(group))
         slices = list(zip(np.array_split(x, cut), np.array_split(y, cut)))  # views of x, y
@@ -246,9 +284,10 @@ def _run_folds(
         w, b, ran = (np.concatenate(parts) for parts in zip(*trained))
         for j, i in enumerate(group):
             models[i], epochs_run[i] = LogisticModel(weights=w[j], bias=b[j]), int(ran[j])
+    train_seconds = time.perf_counter() - train_start
     accuracies = [float(np.mean(predict(model, test) == labels[test_idx]))
                   for model, test, (_, test_idx) in zip(models, test_x, folds)]
-    return accuracies, epochs_run
+    return accuracies, epochs_run, train_seconds
 
 
 def cross_validate(
@@ -267,7 +306,8 @@ def cross_validate(
     training rows only, so no test statistics leak into scaling.
     `config["epochs_run"]` holds the epochs each fold trained, in fold order,
     and `layer_seconds` the wall-clock time of the embed and train+predict
-    layers. `threads` sets the worker threads of `embed` only."""
+    layers, and of the stacked training within the latter. `threads` sets
+    the worker threads of `embed` only."""
     start = time.perf_counter()
     splits = [stratified_kfold(bundle.labels, k=k, seed=_fold_seed(seed, r))
               for r in range(repeats)]
@@ -275,7 +315,7 @@ def cross_validate(
     matrix = embed(bundle, family, phi_set=phi_set, density=density, threads=threads)
     embed_end = time.perf_counter()
     details: Optional[list[dict]] = [] if collect_fold_details else None
-    accuracies, epochs_run = _run_folds(matrix, bundle, hyper, splits, details)
+    accuracies, epochs_run, train_seconds = _run_folds(matrix, bundle, hyper, splits, details)
     train_end = time.perf_counter()
     acc = np.asarray(accuracies)
     config = {
@@ -297,6 +337,7 @@ def cross_validate(
         seed=seed,
         config=config,
         wall_time_seconds=time.perf_counter() - start,
-        layer_seconds={"embed": embed_end - embed_start, "train_predict": train_end - embed_end},
+        layer_seconds={"embed": embed_end - embed_start, "train_predict": train_end - embed_end,
+                       "train": train_seconds},
     )
 

@@ -106,6 +106,14 @@ class TestParserErrors:
         with pytest.raises(DataFormatError, match="X_node_attributes.txt:2: expected 2 finite"):
             parse_tud(tmp_path, "X")
 
+    @pytest.mark.filterwarnings("error")
+    def test_attribute_span_beyond_float_range(self, tmp_path):
+        # hi - lo overflowed to inf, and the 1e308 vertex got a NaN feature
+        self._write(tmp_path, ["1, 2", "2, 1"], ["1", "1"], ["0"])
+        (tmp_path / "X_node_attributes.txt").write_text("-1e308, 1\n1e308, 3\n")
+        (features,) = parse_tud(tmp_path, "X").features
+        assert np.array_equal(features, [[0.0, 0.0], [1.0, 1.0]])
+
     @pytest.mark.parametrize("suffix", ["A", "graph_indicator", "graph_labels", "node_labels"])
     def test_undecodable_byte(self, tmp_path, suffix):
         for src in (FIXTURES / "TOY").iterdir():

@@ -10,6 +10,7 @@ from homcount.embedding import apply_standardizer, embed, fit_standardizer
 from homcount.evaluate import (
     Hyper,
     _fold_seed,
+    _train_stack,
     cross_validate,
     predict,
     stratified_kfold,
@@ -99,6 +100,20 @@ class TestClassifier:
         with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
             train_classifier(np.zeros((3, 2)), [0, 1, label], num_classes=2)
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ([[0.0, 1.0], [np.nan, 0.0]], [0, 1], "features must be finite"),
+            ([[0.0, 1.0], [np.inf, 0.0]], [0, 1], "features must be finite"),
+            (np.zeros((0, 2)), [], "no training rows"),
+        ],
+        ids=["nan", "inf", "no-rows"],
+    )
+    def test_bad_input_is_named(self, x, y, message):
+        # NaN features trained to NaN weights; no rows was numpy's zero-size reduction error
+        with pytest.raises(ValueError, match=message):
+            train_classifier(np.asarray(x), y)
+
 
 def tiny_csl():
     return gen_csl(copies_per_class=5, seed=0)
@@ -158,9 +173,10 @@ class TestBench:
     def test_timing_fields(self):
         rep = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=1)
         layers = rep.layer_seconds
-        assert list(layers) == ["embed", "train_predict"]
-        assert layers["embed"] >= 0 and layers["train_predict"] >= 0
+        assert list(layers) == ["embed", "train_predict", "train"]
+        assert layers["embed"] >= 0 and layers["train_predict"] >= 0 and layers["train"] >= 0
         assert layers["embed"] + layers["train_predict"] <= rep.wall_time_seconds
+        assert layers["train"] <= layers["train_predict"]
         assert rep.to_dict()["layer_seconds"] == layers
 
     def test_empty_pattern_config(self):
@@ -254,3 +270,39 @@ class TestStackedTrainingMatchesReference:
             assert threads[name] == {caller}, name
         # the caller trains one slice, a worker thread the other
         assert caller in threads["_train_stack"] and len(threads["_train_stack"]) == 2
+
+
+class TestTrainStackShapes:
+    """Seeded shapes around the class-sum cut points (8 and 128 classes), the
+    matmul edge cases (no features, one feature, one row) and L2: every fold
+    of a stack equals `reference_train` and a one-fold run of itself."""
+
+    @staticmethod
+    def check(x, y, c, hyper):
+        w, b, ran = _train_stack(x, y, c, hyper)
+        for i in range(len(x)):
+            ref_w, ref_b, ref_ran = reference_train(x[i], y[i], c, hyper)
+            one_w, one_b, one_ran = _train_stack(x[i : i + 1], y[i : i + 1], c, hyper)
+            shape = f"fold {i} of {x.shape}, C={c}, l2={hyper.l2}"
+            assert np.array_equal(w[i], ref_w) and np.array_equal(b[i], ref_b), shape
+            assert np.array_equal(w[i], one_w[0]) and np.array_equal(b[i], one_b[0]), shape
+            assert ran[i] == ref_ran == one_ran[0], shape
+        return ran
+
+    @pytest.mark.parametrize("c", [1, 2, 7, 8, 9, 16, 17, 130])
+    def test_folds_match_reference(self, c):
+        rng = np.random.default_rng(c)
+        for d in (0, 1, 2, 7):
+            for n in (1, 3, 8, 40):
+                for l2 in (0.0, 0.01):
+                    x = rng.normal(size=(3, n, d)) * rng.choice([0.1, 1.0, 10.0])
+                    y = rng.integers(0, c, size=(3, n))
+                    self.check(x, y, c, Hyper(l2=l2, epochs=int(rng.integers(1, 51))))
+
+    def test_early_stop_leaves_the_stack(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 6, 2))
+        y = rng.integers(0, 3, size=(4, 6))
+        x[1], y[1] = 0.0, [0, 1, 2, 0, 1, 2]  # balanced and featureless: a zero gradient
+        ran = self.check(x, y, 3, Hyper(epochs=40))
+        assert list(ran) == [40, 0, 40, 40]
