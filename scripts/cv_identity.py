@@ -1,14 +1,29 @@
-"""Fingerprint the fold results of the fixed cross-validation workloads.
+"""Fingerprint the embeddings, fold results and trained weights of the fixed
+cross-validation workloads.
 
 Runs CSL/cycles:8, bipartite/{cycles:8, trees:6} and Paulus/{cycles:8,
 trees:6} as 10x10 `cross_validate` at seed 0, once with training limited to
 one CPU and once to two. For each workload it prints one tab-separated line:
-the workload, the sha256 of its fold accuracies (as float hex) and
-`config["epochs_run"]` for 1 and for 2 CPUs, and the `layer_seconds` of
-both runs. Two commits give the same fold results exactly when the first
-three columns match:
 
-    python3 scripts/cv_identity.py | cut -f1-3 > ids.txt    # on each commit
+1. the workload;
+2. and 3. the sha256 of its fold accuracies (as float hex) and
+   `config["epochs_run"]`, for 1 and for 2 CPUs;
+4. the sha256 of `embed(bundle, family)`'s value bytes and column metadata,
+   with density off and then on;
+5. and 6. the sha256 of every fold's trained weights and biases, for 1 and
+   for 2 CPUs. Each fold's record is keyed by the bytes of its training rows
+   and labels, so the digest does not depend on how folds are stacked or
+   cut over CPUs, and it changes with the weights even where the fold
+   accuracies do not;
+7. and 8. the `layer_seconds` of both runs.
+
+Two more lines give column 4 for the labeled graphs of perfbench's
+`labeled-embed` workload (`gen_labeled(0, 100)` with cycles:6 and trees:6
+under the default encoders), with "-" in the CV columns. Two commits give
+the same embeddings, fold results and weights exactly when the first six
+columns match:
+
+    python3 scripts/cv_identity.py | cut -f1-6 > ids.txt    # on each commit
     diff ids_before.txt ids_after.txt
 
 Run from the repository root; it takes about a minute on two cores.
@@ -19,12 +34,16 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from homcount import evaluate  # noqa: E402
+from homcount import embedding, evaluate  # noqa: E402
 from homcount.datasets import gen_bipartite_er, gen_csl, load_paulus  # noqa: E402
+from workloads import LABELED_FAMILIES, gen_labeled  # noqa: E402
 
 WORKLOADS = [
     ("csl", gen_csl, "cycles:8"),
@@ -43,16 +62,49 @@ def fingerprint(report: evaluate.CVReport) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
+def embedding_digest(bundle, family: str) -> str:
+    h = hashlib.sha256()
+    for density in (False, True):
+        m = embedding.embed(bundle, family, density=density)
+        h.update(m.values.tobytes())
+        h.update(json.dumps([asdict(c) for c in m.column_meta]).encode())
+    return h.hexdigest()
+
+
+def recording(train, records: list):
+    """`train`, the stacked trainer, appending (rows digest, weights digest)
+    for each fold it trains to `records`."""
+
+    def train_and_record(x, y, *args, **kwargs):
+        w, b, ran = train(x, y, *args, **kwargs)
+        for j in range(len(x)):
+            rows = hashlib.sha256(x[j].tobytes() + y[j].tobytes()).hexdigest()
+            records.append((rows, hashlib.sha256(w[j].tobytes() + b[j].tobytes()).hexdigest()))
+        return w, b, ran
+
+    return train_and_record
+
+
 def main() -> None:
+    train_stack = evaluate._train_stack
     for name, make, family in WORKLOADS:
         bundle = make(seed=0)
-        hashes, times = [], []
+        folds, weights, times = [], [], []
         for cpus in (1, 2):
+            records: list = []
             evaluate._usable_cpus = lambda: cpus
+            evaluate._train_stack = recording(train_stack, records)
             report = evaluate.cross_validate(bundle, family, k=10, seed=0, repeats=10)
-            hashes.append(fingerprint(report))
+            folds.append(fingerprint(report))
+            weights.append(hashlib.sha256(json.dumps(sorted(records)).encode()).hexdigest())
             times.append({key: round(s, 3) for key, s in report.layer_seconds.items()})
-        print("\t".join([f"{name}/{family}", *hashes, *map(json.dumps, times)]), flush=True)
+        evaluate._train_stack = train_stack
+        line = [f"{name}/{family}", *folds, embedding_digest(bundle, family), *weights]
+        print("\t".join(line + [json.dumps(t) for t in times]), flush=True)
+    labeled = gen_labeled(0, 100)
+    for family in LABELED_FAMILIES:
+        line = [f"labeled/{family}", "-", "-", embedding_digest(labeled, family), "-", "-"]
+        print("\t".join(line), flush=True)
 
 
 if __name__ == "__main__":

@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", choices=["auto", "constant"], default="auto")
         p.add_argument("--density", action="store_true")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     p_emb = sub.add_parser("embed", help="write an embedding matrix as CSV")
     add_data_args(p_emb)
@@ -193,14 +192,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_embed(args) -> int:
     bundle = _load_bundle(args)
-    matrix = embedding.embed(
-        bundle,
-        args.family,
-        phi_set=_phi_set(args),
-        density=args.density,
-        log1p=args.log1p,
-        threads=args.threads,
-    )
+    matrix = embedding.embed(bundle, args.family, phi_set=_phi_set(args),
+                             density=args.density, log1p=args.log1p)
     config = {
         "family": args.family,
         "phi": args.phi,
@@ -226,7 +219,6 @@ def _cmd_cv(args) -> int:
         k=args.k,
         seed=args.seed,
         repeats=args.repeats,
-        threads=args.threads,
     )
     if args.command == "bench":
         layers = report.layer_seconds

@@ -9,7 +9,6 @@ across runs and platforms.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -18,7 +17,7 @@ import numpy as np
 
 from .datasets import DatasetBundle
 from .graphs import FeaturedGraph
-from .hom import PhiFunction, _to_density, hom
+from .hom import PhiFunction, _count_row, _to_density
 from .patterns import Pattern, resolve_family
 
 
@@ -68,7 +67,6 @@ def embed(
     phi_set: Optional[Sequence[PhiFunction]] = None,
     density: bool = False,
     log1p: bool = False,
-    threads: int = 1,
 ) -> EmbeddingMatrix:
     """Embedding matrix with one column per (pattern, encoder) pair.
 
@@ -89,28 +87,18 @@ def embed(
         ]
 
     columns = [(pi, phi) for pi in range(len(patterns)) for phi in phis]
-    n, d = len(targets), len(columns)
-    values = np.zeros((n, d), dtype=np.float64)
-    promoted = [False] * d
+    values = np.zeros((len(targets), len(columns)), dtype=np.float64)
+    promoted = [False] * len(columns)
 
-    def fill_row(i: int) -> None:
-        target = targets[i]
-        for j, (pi, phi) in enumerate(columns):
-            pat = patterns[pi]
-            hv = hom(pat, target, phi=phi)
-            cell = float(hv)
-            if density:
-                cell = _to_density(cell, pat.graph, bundle.graphs[i])
-            if hv.promoted:
-                promoted[j] = True
-            values[i, j] = cell
-
-    if threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for i in range(n):
-            fill_row(i)
+    for i, target in enumerate(targets):
+        for q, phi in enumerate(phis):
+            for pi, hv in enumerate(_count_row(patterns, target, phi)):
+                j = pi * len(phis) + q
+                cell = float(hv)
+                if density:
+                    cell = _to_density(cell, patterns[pi].graph, bundle.graphs[i])
+                promoted[j] = promoted[j] or hv.promoted
+                values[i, j] = cell
 
     if log1p:
         values = np.log1p(values)

@@ -299,20 +299,18 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
     repeats: int = 10,
-    threads: int = 1,
     collect_fold_details: bool = False,
 ) -> CVReport:
     """Repeated stratified k-fold CV; the standardizer is fitted per fold on
     training rows only, so no test statistics leak into scaling.
     `config["epochs_run"]` holds the epochs each fold trained, in fold order,
     and `layer_seconds` the wall-clock time of the embed and train+predict
-    layers, and of the stacked training within the latter. `threads` sets
-    the worker threads of `embed` only."""
+    layers, and of the stacked training within the latter."""
     start = time.perf_counter()
     splits = [stratified_kfold(bundle.labels, k=k, seed=_fold_seed(seed, r))
               for r in range(repeats)]
     embed_start = time.perf_counter()
-    matrix = embed(bundle, family, phi_set=phi_set, density=density, threads=threads)
+    matrix = embed(bundle, family, phi_set=phi_set, density=density)
     embed_end = time.perf_counter()
     details: Optional[list[dict]] = [] if collect_fold_details else None
     accuracies, epochs_run, train_seconds = _run_folds(matrix, bundle, hyper, splits, details)

@@ -82,7 +82,7 @@ class FeaturedGraph:
 
     def __init__(self, graph: Graph, features):
         feats = FeaturedGraph.unchecked(graph, features).features
-        if feats.size and (np.min(feats) < 0.0 or np.max(feats) > 1.0):
+        if not ((feats >= 0.0) & (feats <= 1.0)).all():  # NaN fails both
             raise ValueError("feature entries must lie in [0, 1]")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "features", feats)

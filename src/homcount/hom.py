@@ -22,6 +22,7 @@ from .graphs import FeaturedGraph, Graph
 from .patterns import (
     Pattern,
     TreeDecomposition,
+    _is_cycle,
     _is_tree,
     nice_decomposition,
     validate_decomposition,
@@ -241,25 +242,20 @@ def hom_tree(
 # cycles via closed walks
 
 
-def _trace_power(g: Graph, k: int) -> int:
-    """Exact trace of the k-th adjacency power (closed walks of length k)."""
+def _walk_traces(g: Graph, k: int) -> list[int]:
+    """Exact traces of A^0..A^k (closed walks of each length up to k), from
+    one chain of products A^2, A^3, ..., A^k; k >= 1."""
     a = g.adjacency_matrix()
-    if g.num_vertices == 0:
-        return 0
-    max_degree = max(1, int(a.sum(axis=1).max()))
+    max_degree = max(1, int(a.sum(axis=1).max(initial=0)))  # initial: n may be 0
+    traces = [g.num_vertices, 0]  # no self-loops
     p = a
-    obj = None
     for _ in range(k - 1):
-        if obj is None:
-            if int(p.max()) * max_degree < (1 << 62):
-                p = p @ a
-            else:
-                obj = p.astype(object) @ a.astype(object)
-        else:
-            obj = obj @ a.astype(object)
-    final = obj if obj is not None else p
-    # Each diagonal entry fits int64 but their sum need not: add as Python ints.
-    return sum(map(int, final.diagonal()))
+        if p.dtype != object and int(p.max(initial=0)) * max_degree >= (1 << 62):
+            p, a = p.astype(object), a.astype(object)  # Python ints from here on
+        p = p @ a
+        # Each diagonal entry fits int64 but their sum need not: add as Python ints.
+        traces.append(sum(map(int, p.diagonal())))
+    return traces
 
 
 def hom_cycle(k: int, g: Graph) -> HomValue:
@@ -269,7 +265,7 @@ def hom_cycle(k: int, g: Graph) -> HomValue:
     """
     if k < 2:
         raise ValueError("cycle length must be at least 2")
-    return _finish_exact(_trace_power(g, k))
+    return _finish_exact(_walk_traces(g, k)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +370,40 @@ def hom_treedec(
 # dispatch, densities, vectors
 
 
+def _count_row(
+    patterns: Sequence[Union[Pattern, Graph]],
+    g: Union[Graph, FeaturedGraph],
+    phi: Optional[PhiFunction] = None,
+) -> list[HomValue]:
+    """hom(F, G) for each F in `patterns`, the one dispatcher behind `hom`,
+    `hom_vector` and `embed`. Weights are resolved once for the row. Trees go
+    to `hom_tree`, unweighted cycles (recognized by their graph) to one shared
+    chain of adjacency powers, everything else to `hom_treedec`."""
+    graph, x = _as_features(g)
+    weights = _resolve_weights(graph, x, phi)
+    fgs = [_pattern_graph(f) for f in patterns]
+    cycles = [weights is None and _is_cycle(fg) for fg in fgs]
+    longest = max((fg.num_vertices for fg, c in zip(fgs, cycles) if c), default=0)
+    traces = _walk_traces(graph, longest) if longest else []
+    row = []
+    for f, fg, cycle in zip(patterns, fgs, cycles):
+        if cycle:
+            row.append(_finish_exact(traces[fg.num_vertices]))
+        elif _is_tree(fg):
+            row.append(hom_tree(fg, graph, weights=weights))
+        else:
+            pattern = f if isinstance(f, Pattern) else Pattern(fg, "custom", fg.num_vertices, "")
+            row.append(hom_treedec(fg, nice_decomposition(pattern), graph, weights=weights))
+    return row
+
+
 def hom(
     f: Union[Pattern, Graph],
     g: Union[Graph, FeaturedGraph],
     phi: Optional[PhiFunction] = None,
 ) -> HomValue:
     """Compute hom(F, G) by the cheapest applicable algorithm; F may be a bare graph."""
-    fg = _pattern_graph(f)
-    graph, x = _as_features(g)
-    weights = _resolve_weights(graph, x, phi)
-    if _is_tree(fg):
-        return hom_tree(fg, graph, weights=weights)
-    if isinstance(f, Pattern) and f.family == "cycle" and weights is None:
-        return hom_cycle(f.size, graph)
-    pattern = f if isinstance(f, Pattern) else Pattern(fg, "custom", fg.num_vertices, "")
-    td = nice_decomposition(pattern)
-    return hom_treedec(fg, td, graph, weights=weights)
+    return _count_row([f], g, phi)[0]
 
 
 def _to_density(count: float, f: Graph, g: Graph) -> float:
@@ -417,15 +431,14 @@ def hom_weighted_density(f: Union[Pattern, Graph], fg: FeaturedGraph) -> float:
 
 
 def hom_vector(
-    patterns: Sequence[Pattern],
+    patterns: Sequence[Union[Pattern, Graph]],
     g: Union[Graph, FeaturedGraph],
     phi: Optional[PhiFunction] = None,
     density: bool = False,
 ) -> np.ndarray:
     """One coordinate per pattern, in catalog order."""
     graph, _ = _as_features(g)
-    out = np.empty(len(patterns), dtype=np.float64)
-    for i, p in enumerate(patterns):
-        value = float(hom(p, g, phi=phi))
-        out[i] = _to_density(value, p.graph, graph) if density else value
-    return out
+    row = [float(hv) for hv in _count_row(patterns, g, phi)]
+    if density:
+        row = [_to_density(v, _pattern_graph(f), graph) for v, f in zip(row, patterns)]
+    return np.array(row, dtype=np.float64)

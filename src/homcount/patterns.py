@@ -59,11 +59,8 @@ class TreeDecomposition:
 # canonical codes
 
 
-def _is_tree(g: Graph) -> bool:
-    if g.num_edges != g.num_vertices - 1:
-        return False
-    if g.num_vertices == 0:
-        return False
+def _is_connected(g: Graph) -> bool:
+    """Whether a graph with at least one vertex is connected."""
     seen = {0}
     stack = [0]
     while stack:
@@ -73,6 +70,15 @@ def _is_tree(g: Graph) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == g.num_vertices
+
+
+def _is_tree(g: Graph) -> bool:
+    return g.num_vertices > 0 and g.num_edges == g.num_vertices - 1 and _is_connected(g)
+
+
+def _is_cycle(g: Graph) -> bool:
+    """Whether `g` is the cycle C_k, k >= 3: connected, every degree 2."""
+    return g.num_vertices >= 3 and {len(nb) for nb in g.adjacency} == {2} and _is_connected(g)
 
 
 def _tree_centers(g: Graph) -> list[int]:

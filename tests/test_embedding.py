@@ -92,11 +92,6 @@ class TestOptions:
         logged = embed(small_bundle(), "trees:4", log1p=True)
         assert np.allclose(logged.values, np.log1p(plain.values))
 
-    def test_threads_do_not_change_values(self):
-        a = embed(small_bundle(), "trees:6", threads=1)
-        b = embed(small_bundle(), "trees:6", threads=3)
-        assert np.array_equal(a.values, b.values)
-
     def test_column_order_stable(self):
         a = embed(small_bundle(), "cycles:8")
         b = embed(small_bundle(), "cycles:8")

@@ -115,6 +115,11 @@ class TestFeaturedGraphValidation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             FeaturedGraph(Graph(1, []), [[1.5]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            FeaturedGraph(Graph(2, [(0, 1)]), [[bad], [0.5]])
+
     def test_row_count(self):
         with pytest.raises(ValueError, match="rows"):
             FeaturedGraph(Graph(2, [(0, 1)]), [[0.5]])

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_hom, random_connected_graph, random_simple_graph
 from homcount.datasets import DatasetBundle
@@ -20,6 +22,7 @@ from homcount.hom import (
     hom_weighted_density,
 )
 from homcount.patterns import (
+    Pattern,
     custom_pattern,
     cycle_graph,
     enumerate_cycles,
@@ -152,13 +155,20 @@ class TestCycleAlgorithm:
         with pytest.raises(ValueError):
             hom_cycle(1, k(3))
 
-    @pytest.mark.parametrize("n, length", [(101, 10), (60, 11)])
+    @pytest.mark.parametrize("n, length", [(101, 10), (60, 11), (20, 20)])
     def test_trace_sum_beyond_int64_is_exact(self, n, length):
         # Closed walks in K_n: (n-1)^k + (n-1)(-1)^k, past 2**63 for these sizes.
-        expected = (n - 1) ** length + (n - 1) * (-1) ** length
-        assert expected >= 1 << 63
+        # Every power stays int64 for the first two; K_20's chain switches to
+        # Python ints at A^16.
+        def closed_walks(kk):
+            return (n - 1) ** kk + (n - 1) * (-1) ** kk
+
+        assert closed_walks(length) >= 1 << 63
         hv = hom_cycle(length, k(n))
-        assert hv.mode == "exact" and hv.value == expected
+        assert hv.mode == "exact" and hv.value == closed_walks(length)
+        # The edge and C3..C_length share one chain of powers.
+        vec = hom_vector(enumerate_cycles(length), k(n))
+        assert vec.tolist() == [float(closed_walks(kk)) for kk in range(2, length + 1)]
 
     def test_promotion_beyond_128_bits(self):
         hv = hom_cycle(40, k(20))
@@ -317,6 +327,51 @@ class TestHomVector:
 
     def test_empty_pattern_list(self):
         assert hom_vector([], k(3)).shape == (0,)
+
+
+PAW = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])  # neither a tree nor a cycle
+ROW_PATTERNS = enumerate_trees(5) + enumerate_cycles(6) + [
+    custom_pattern(PAW),
+    custom_pattern(cycle_graph(4)),  # a cycle by its graph, not its label
+]
+
+
+@st.composite
+def featured_targets(draw):
+    """A graph on 0-7 vertices, isolated vertices allowed, with one feature
+    column of dyadic weights, zeros included: every weighted sum is then
+    exact in double precision, whatever the summation order."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+    weights = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n))
+    return FeaturedGraph(Graph(n, edges), np.array(weights).reshape(n, 1))
+
+
+class TestRowEngine:
+    def test_cycle_recognized_by_structure_not_label(self):
+        mislabeled = Pattern(cycle_graph(5), "cycle", 4, "x")
+        assert hom(mislabeled, k(5)).value == hom_brute(cycle_graph(5), k(5)).value == 1020
+        not_a_cycle = Pattern(k(4), "cycle", 4, "x")
+        assert hom(not_a_cycle, k(5)).value == hom_brute(k(4), k(5)).value
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(target=featured_targets())
+    def test_rows_match_brute_force(self, target):
+        g = target.graph
+        encoders = [PhiFunction.constant_one(), PhiFunction.coordinate(0)]
+        row_catalog = ROW_PATTERNS + [cycle_graph(4)]  # a bare Graph too
+        expected = {}
+        for phi in encoders:
+            weights = None if phi.kind == "constant_one" else list(target.features[:, 0])
+            expected[phi] = [float(hom_brute(f, g, weights=weights)) for f in row_catalog]
+            assert hom_vector(row_catalog, target, phi=phi).tolist() == expected[phi]
+        bundle = DatasetBundle("one", [g], [0], [target.features])
+        m = embed(bundle, ROW_PATTERNS, phi_set=encoders)
+        cells = m.values[0].reshape(len(ROW_PATTERNS), len(encoders))
+        for q, phi in enumerate(encoders):
+            assert cells[:, q].tolist() == expected[phi][: len(ROW_PATTERNS)]
 
 
 class TestDisjointUnionMultiplicativity:
