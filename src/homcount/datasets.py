@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, is_bipartite, permute
+from .graphs import Graph, check_feature_range, is_bipartite, permute
 from .hom import hom_cycle
 
 DEFAULT_CSL_SKIPS = (2, 3, 4, 5, 6, 9, 11, 12, 13, 16)
@@ -52,6 +52,7 @@ def validate_bundle(bundle: DatasetBundle) -> None:
         for g, f in zip(bundle.graphs, bundle.features):
             if f.shape[0] != g.num_vertices:
                 raise ValueError("feature rows must match vertex counts")
+            check_feature_range(f)
     if bundle.labels:
         classes = sorted(set(bundle.labels))
         if classes != list(range(len(classes))):

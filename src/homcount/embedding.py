@@ -81,7 +81,7 @@ def embed(
         raise ValueError("coordinate encoders need a bundle with vertex features")
 
     targets: list = bundle.graphs
-    if bundle.features is not None:
+    if bundle.features is not None:  # range-checked by `validate_bundle`
         targets = [
             FeaturedGraph.unchecked(g, f) for g, f in zip(bundle.graphs, bundle.features)
         ]

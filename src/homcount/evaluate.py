@@ -236,7 +236,6 @@ def _run_folds(
     bundle: DatasetBundle,
     hyper: Hyper,
     splits: list[list[tuple[list[int], list[int]]]],
-    details: Optional[list[dict]] = None,
 ) -> tuple[list[float], list[int], float]:
     """Per-fold accuracies and epochs run, in split order, and the training wall time.
 
@@ -258,20 +257,10 @@ def _run_folds(
         stacks.append((group, x, y))
     test_x = []
     for i, (train_idx, test_idx) in enumerate(folds):
-        scaler = fit_standardizer(matrix, rows=train_idx)
-        values = apply_standardizer(matrix, scaler).values
+        values = apply_standardizer(matrix, fit_standardizer(matrix, rows=train_idx)).values
         x_row, y_row = rows[i]
         x_row[:], y_row[:] = values[train_idx], labels[train_idx]
         test_x.append(values[test_idx])
-        if details is not None:
-            details.append(
-                {
-                    "train": list(train_idx),
-                    "test": list(test_idx),
-                    "scaler_mean": scaler.mean.tolist(),
-                    "scaler_stddev": scaler.stddev.tolist(),
-                }
-            )
     models, epochs_run = [None] * len(folds), [0] * len(folds)
     train = partial(_train_stack, num_classes=bundle.num_classes, hyper=hyper)
     train_start = time.perf_counter()
@@ -299,7 +288,6 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
     repeats: int = 10,
-    collect_fold_details: bool = False,
 ) -> CVReport:
     """Repeated stratified k-fold CV; the standardizer is fitted per fold on
     training rows only, so no test statistics leak into scaling.
@@ -312,8 +300,7 @@ def cross_validate(
     embed_start = time.perf_counter()
     matrix = embed(bundle, family, phi_set=phi_set, density=density)
     embed_end = time.perf_counter()
-    details: Optional[list[dict]] = [] if collect_fold_details else None
-    accuracies, epochs_run, train_seconds = _run_folds(matrix, bundle, hyper, splits, details)
+    accuracies, epochs_run, train_seconds = _run_folds(matrix, bundle, hyper, splits)
     train_end = time.perf_counter()
     acc = np.asarray(accuracies)
     config = {
@@ -326,8 +313,6 @@ def cross_validate(
         "repeats": repeats,
         "epochs_run": epochs_run,
     }
-    if details is not None:
-        config["fold_details"] = details
     return CVReport(
         fold_accuracies=accuracies,
         mean=float(acc.mean()),

@@ -71,19 +71,25 @@ class Graph:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
 
 
+def check_feature_range(features: np.ndarray) -> None:
+    """Raise unless every feature entry is finite and lies in [0, 1]."""
+    if not ((features >= 0.0) & (features <= 1.0)).all():  # NaN fails both
+        raise ValueError("feature entries must lie in [0, 1]")
+
+
 class FeaturedGraph:
     """A graph together with a per-vertex feature matrix of shape (n, p).
 
-    Feature entries must lie in [0, 1] at construction. Internal transforms
-    (twin reduction adds weights) bypass the range check via `unchecked`.
+    Feature entries must be finite and lie in [0, 1] at construction
+    (`check_feature_range`). Internal transforms (twin reduction adds
+    weights) bypass the range check via `unchecked`.
     """
 
     __slots__ = ("graph", "features")
 
     def __init__(self, graph: Graph, features):
         feats = FeaturedGraph.unchecked(graph, features).features
-        if not ((feats >= 0.0) & (feats <= 1.0)).all():  # NaN fails both
-            raise ValueError("feature entries must lie in [0, 1]")
+        check_feature_range(feats)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "features", feats)
 

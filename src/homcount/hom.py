@@ -6,6 +6,11 @@ closed walks through adjacency-matrix powers, and `hom_treedec` runs the
 bounded-treewidth dynamic program over a nice tree decomposition. All four
 agree exactly in integer mode.
 
+The kernels count into a plain `Graph` under an optional list of per-vertex
+weights; without one, every vertex weighs one and the count is exact. Only
+the row engine behind `hom`, `hom_vector` and `embed` turns an encoder into
+weights.
+
 Unweighted counts are exact integers; values at or above 2**128 are demoted
 to floats and flagged. Weighted values are double precision throughout.
 """
@@ -91,7 +96,11 @@ class HomValue:
         return float(self.value)
 
 
-def _finish_exact(total: int) -> HomValue:
+def _finish(total: Union[int, float], exact: bool) -> HomValue:
+    """A kernel's sum as a HomValue: weighted sums are real, and exact ones
+    at or above EXACT_LIMIT are demoted to a flagged float."""
+    if not exact:
+        return HomValue(float(total), "real")
     if total >= EXACT_LIMIT:
         return HomValue(float(total), "real", promoted=True)
     return HomValue(total, "exact")
@@ -101,80 +110,42 @@ def _pattern_graph(f: Union[Pattern, Graph]) -> Graph:
     return f.graph if isinstance(f, Pattern) else f
 
 
-def _resolve_weights(
-    g: Graph, x: Optional[np.ndarray], phi: Optional[PhiFunction]
-) -> Optional[list[float]]:
-    """Per-target-vertex weights, or None when counting is exact (all ones)."""
-    if phi is None or phi.kind == "constant_one":
-        return None
-    rows = x if x is not None else np.zeros((g.num_vertices, 0))
-    return [phi(rows[v]) for v in range(g.num_vertices)]
-
-
-def _as_features(target: Union[Graph, FeaturedGraph]) -> tuple[Graph, Optional[np.ndarray]]:
-    if isinstance(target, FeaturedGraph):
-        return target.graph, target.features
-    return target, None
-
-
 # ---------------------------------------------------------------------------
 # brute force (the oracle)
 
 
 def hom_brute(
-    f: Union[Pattern, Graph],
-    g: Union[Graph, FeaturedGraph],
-    phi: Optional[PhiFunction] = None,
-    weights: Optional[Sequence[float]] = None,
+    f: Union[Pattern, Graph], g: Graph, weights: Optional[Sequence[float]] = None
 ) -> HomValue:
     """Count homomorphisms by enumerating all vertex maps.
 
     Backtracks over pattern vertices in index order, checking edges into the
-    assigned prefix, which enumerates exactly the edge-preserving maps.
+    assigned prefix, which enumerates exactly the edge-preserving maps. Each
+    map adds the product of its image weights; exact counts use unit weights.
     """
     fg = _pattern_graph(f)
-    g, x = _as_features(g)
-    if weights is None:
-        weights = _resolve_weights(g, x, phi)
     nf, ng = fg.num_vertices, g.num_vertices
-    if nf > 0 and ng == 0:
-        return HomValue(0, "exact") if weights is None else HomValue(0.0, "real")
     if ng**nf > BRUTE_FORCE_GUARD:
         raise ValueError(f"brute force guard exceeded: {ng}^{nf} maps")
+    exact = weights is None
+    w = [1] * ng if exact else list(weights)
     back_neighbors = [[u for u in fg.adjacency[v] if u < v] for v in range(nf)]
     adj = g.neighbor_sets
     image = [0] * nf
-    if weights is None:
-        total = 0
+    total = 0
 
-        def count(v: int) -> None:
-            nonlocal total
-            if v == nf:
-                total += 1
-                return
-            for gv in range(ng):
-                if all(gv in adj[image[u]] for u in back_neighbors[v]):
-                    image[v] = gv
-                    count(v + 1)
-
-        count(0)
-        return _finish_exact(total)
-
-    w = list(weights)
-    acc = 0.0
-
-    def count_w(v: int, prod: float) -> None:
-        nonlocal acc
+    def count(v: int, prod) -> None:
+        nonlocal total
         if v == nf:
-            acc += prod
+            total += prod
             return
         for gv in range(ng):
-            if w[gv] != 0.0 and all(gv in adj[image[u]] for u in back_neighbors[v]):
+            if w[gv] != 0 and all(gv in adj[image[u]] for u in back_neighbors[v]):
                 image[v] = gv
-                count_w(v + 1, prod * w[gv])
+                count(v + 1, prod * w[gv])
 
-    count_w(0, 1.0)
-    return HomValue(acc, "real")
+    count(0, 1)
+    return _finish(total, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +168,7 @@ def _rooted_tree_order(fg: Graph, root: int = 0) -> list[tuple[int, int]]:
 
 
 def hom_tree(
-    f: Union[Pattern, Graph],
-    g: Union[Graph, FeaturedGraph],
-    phi: Optional[PhiFunction] = None,
-    weights: Optional[Sequence[float]] = None,
+    f: Union[Pattern, Graph], g: Graph, weights: Optional[Sequence[float]] = None
 ) -> HomValue:
     """Tree-pattern homomorphism count in O(|V(F)| * (|V(G)| + |E(G)|)).
 
@@ -212,14 +180,10 @@ def hom_tree(
     fg = _pattern_graph(f)
     if not _is_tree(fg):
         raise ValueError("hom_tree requires a tree pattern")
-    g, x = _as_features(g)
-    if weights is None:
-        weights = _resolve_weights(g, x, phi)
     ng = g.num_vertices
-    if ng == 0:
-        return HomValue(0, "exact") if weights is None else HomValue(0.0, "real")
     exact = weights is None
     base = [1] * ng if exact else list(weights)
+    zero = 0 if exact else 0.0
     order = _rooted_tree_order(fg)
     table: dict[int, list] = {}
     for v, parent in reversed(order):
@@ -229,13 +193,12 @@ def hom_tree(
                 continue
             child = table.pop(c)
             for gv in range(ng):
-                s = 0 if exact else 0.0
+                s = zero
                 for h in g.adjacency[gv]:
                     s += child[h]
                 vec[gv] *= s
         table[v] = vec
-    total = sum(table[order[0][0]])
-    return _finish_exact(total) if exact else HomValue(float(total), "real")
+    return _finish(sum(table[order[0][0]]), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +228,7 @@ def hom_cycle(k: int, g: Graph) -> HomValue:
     """
     if k < 2:
         raise ValueError("cycle length must be at least 2")
-    return _finish_exact(_walk_traces(g, k)[k])
+    return _finish(_walk_traces(g, k)[k], True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +238,7 @@ def hom_cycle(k: int, g: Graph) -> HomValue:
 def hom_treedec(
     f: Union[Pattern, Graph],
     td: TreeDecomposition,
-    g: Union[Graph, FeaturedGraph],
-    phi: Optional[PhiFunction] = None,
+    g: Graph,
     weights: Optional[Sequence[float]] = None,
 ) -> HomValue:
     """Homomorphism count via bottom-up tables over a nice decomposition.
@@ -289,16 +251,9 @@ def hom_treedec(
     """
     fg = _pattern_graph(f)
     validate_decomposition(td, fg)
-    g, x = _as_features(g)
-    if weights is None:
-        weights = _resolve_weights(g, x, phi)
     ng = g.num_vertices
     exact = weights is None
-    if ng == 0:
-        if fg.num_vertices == 0:
-            return HomValue(1, "exact") if exact else HomValue(1.0, "real")
-        return HomValue(0, "exact") if exact else HomValue(0.0, "real")
-    w = None if exact else list(weights)
+    w = [1] * ng if exact else list(weights)
     one = 1 if exact else 1.0
 
     kids = td.children()
@@ -355,15 +310,13 @@ def hom_treedec(
             for a, val in ctab.items():
                 gv = a[pos]
                 key = a[:pos] + a[pos + 1 :]
-                add = val if exact else val * w[gv]
                 if key in new:
-                    new[key] += add
+                    new[key] += val * w[gv]
                 else:
-                    new[key] = add
+                    new[key] = val * w[gv]
             tables[t] = new
 
-    total = tables[td.root].get((), 0 if exact else 0.0)
-    return _finish_exact(total) if exact else HomValue(float(total), "real")
+    return _finish(tables[td.root].get((), 0), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +329,15 @@ def _count_row(
     phi: Optional[PhiFunction] = None,
 ) -> list[HomValue]:
     """hom(F, G) for each F in `patterns`, the one dispatcher behind `hom`,
-    `hom_vector` and `embed`. Weights are resolved once for the row. Trees go
-    to `hom_tree`, unweighted cycles (recognized by their graph) to one shared
-    chain of adjacency powers, everything else to `hom_treedec`."""
-    graph, x = _as_features(g)
-    weights = _resolve_weights(graph, x, phi)
+    `hom_vector` and `embed`, and the only place an encoder becomes vertex
+    weights, once for the row. Trees go to `hom_tree`, unweighted cycles
+    (recognized by their graph) to one shared chain of adjacency powers,
+    everything else to `hom_treedec`."""
+    graph = g.graph if isinstance(g, FeaturedGraph) else g
+    weights = None  # exact: every vertex weighs one
+    if phi is not None and phi.kind != "constant_one":
+        x = g.features if isinstance(g, FeaturedGraph) else np.zeros((graph.num_vertices, 0))
+        weights = [phi(row) for row in x]
     fgs = [_pattern_graph(f) for f in patterns]
     cycles = [weights is None and _is_cycle(fg) for fg in fgs]
     longest = max((fg.num_vertices for fg, c in zip(fgs, cycles) if c), default=0)
@@ -388,7 +345,7 @@ def _count_row(
     row = []
     for f, fg, cycle in zip(patterns, fgs, cycles):
         if cycle:
-            row.append(_finish_exact(traces[fg.num_vertices]))
+            row.append(_finish(traces[fg.num_vertices], True))
         elif _is_tree(fg):
             row.append(hom_tree(fg, graph, weights=weights))
         else:
@@ -437,7 +394,7 @@ def hom_vector(
     density: bool = False,
 ) -> np.ndarray:
     """One coordinate per pattern, in catalog order."""
-    graph, _ = _as_features(g)
+    graph = g.graph if isinstance(g, FeaturedGraph) else g
     row = [float(hv) for hv in _count_row(patterns, g, phi)]
     if density:
         row = [_to_density(v, _pattern_graph(f), graph) for v, f in zip(row, patterns)]

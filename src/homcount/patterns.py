@@ -411,11 +411,11 @@ def build_nice_decomposition(g: Graph, order: Sequence[int]) -> TreeDecompositio
     """Nice tree decomposition of g from an elimination order.
 
     The root bag is empty, leaves have empty bags, and each vertex is
-    forgotten exactly once on the path to the root.
+    forgotten exactly once on the path to the root. The empty graph gets a
+    single empty leaf, whose one table entry is the empty map.
     """
-    n = g.num_vertices
-    if n == 0:
-        raise ValueError("cannot decompose the empty graph")
+    if g.num_vertices == 0:
+        return TreeDecomposition(Graph(1), (frozenset(),), -1, 0, ("leaf",))
     bags, tree_edges = _elimination_bags(g, order)
     children: list[list[int]] = [[] for _ in bags]
     parent = [-1] * len(bags)

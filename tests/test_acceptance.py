@@ -267,16 +267,16 @@ def test_criterion_10_linear_scaling():
     size_base = sum(g.num_vertices + g.num_edges for g in base.graphs)
     size_doubled = sum(g.num_vertices + g.num_edges for g in doubled.graphs)
 
-    def best_time(bundle):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            embed(bundle, "trees:6")
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def timed(bundle):
+        t0 = time.perf_counter()
+        embed(bundle, "trees:6")
+        return time.perf_counter() - t0
 
-    t_base = best_time(base)
-    t_doubled = best_time(doubled)
+    # Alternate the two sizes so a slow phase of the host hits both sides.
+    t_base = t_doubled = float("inf")
+    for _ in range(5):
+        t_base = min(t_base, timed(base))
+        t_doubled = min(t_doubled, timed(doubled))
     ratio = t_doubled / t_base
     ok = 1.8 <= size_doubled / size_base <= 2.2 and ratio <= 2.5
     _report(

@@ -67,6 +67,15 @@ class TestHom:
         assert main(["hom", "--pattern", spec, "--graph", k3_file]) == 2
         assert f"pattern index {index} out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("density, value", [([], 1), (["--density"], 1.0)])
+    def test_empty_pattern_counts_one(self, k3_file, tmp_path, density, value, capsys):
+        path = tmp_path / "pats.txt"
+        path.write_text("0\n")
+        args = ["hom", "--pattern", f"file:{path}#0", "--graph", k3_file] + density
+        assert main(args) == 0
+        got = json.loads(capsys.readouterr().out)["value"]
+        assert got == value and type(got) is type(value)
+
     def test_density_on_empty_graph(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("0\n")

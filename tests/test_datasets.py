@@ -322,3 +322,9 @@ class TestBundleValidation:
                 labels=[0],
                 features=[np.zeros((1, 1)), np.zeros((1, 1))],
             )
+
+    @pytest.mark.parametrize("bad", [7.0, np.nan, np.inf])
+    def test_feature_outside_unit_range_rejected(self, bad):
+        features = [np.array([[0.5], [bad]])]
+        with pytest.raises(ValueError, match=r"feature entries must lie in \[0, 1\]"):
+            DatasetBundle(name="x", graphs=[Graph(2, [(0, 1)])], labels=[0], features=features)

@@ -141,18 +141,22 @@ class TestCrossValidate:
             d.pop("wall_time_seconds"), d.pop("layer_seconds")
         assert da == db
 
-    def test_no_leakage_scaler_fitted_on_train_rows(self):
-        bundle = tiny_csl()
-        rep = cross_validate(
-            bundle, "cycles:8", k=5, seed=0, repeats=1, collect_fold_details=True
-        )
-        from homcount.embedding import embed
+    def test_no_leakage_scaler_fitted_on_train_rows(self, monkeypatch):
+        fitted = []
 
-        matrix = embed(bundle, "cycles:8")
-        for fold in rep.config["fold_details"]:
-            train = fold["train"]
-            recomputed = matrix.values[train].mean(axis=0)
-            assert np.allclose(recomputed, fold["scaler_mean"])
+        def recording_fit(matrix, rows=None):
+            fitted.append(list(rows))
+            return fit_standardizer(matrix, rows=rows)
+
+        monkeypatch.setattr(evaluate, "fit_standardizer", recording_fit)
+        bundle = tiny_csl()
+        cross_validate(bundle, "cycles:8", k=5, seed=0, repeats=2)
+        expected = [
+            list(train)
+            for r in range(2)
+            for train, _ in stratified_kfold(bundle.labels, k=5, seed=_fold_seed(0, r))
+        ]
+        assert fitted == expected
 
     def test_epochs_run_recorded_per_fold(self):
         rep = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=2)

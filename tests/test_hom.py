@@ -361,7 +361,12 @@ class TestRowEngine:
     def test_rows_match_brute_force(self, target):
         g = target.graph
         encoders = [PhiFunction.constant_one(), PhiFunction.coordinate(0)]
-        row_catalog = ROW_PATTERNS + [cycle_graph(4)]  # a bare Graph too
+        # Bare graphs too: a cycle, the empty pattern and a disconnected one.
+        row_catalog = ROW_PATTERNS + [
+            cycle_graph(4),
+            Graph(0),
+            disjoint_union(path_graph(2), cycle_graph(3)),
+        ]
         expected = {}
         for phi in encoders:
             weights = None if phi.kind == "constant_one" else list(target.features[:, 0])
