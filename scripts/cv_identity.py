@@ -76,11 +76,12 @@ def recording(train, records: list):
     for each fold it trains to `records`."""
 
     def train_and_record(x, y, *args, **kwargs):
-        w, b, ran = train(x, y, *args, **kwargs)
+        trained = train(x, y, *args, **kwargs)
+        w, b = trained[:2]
         for j in range(len(x)):
             rows = hashlib.sha256(x[j].tobytes() + y[j].tobytes()).hexdigest()
             records.append((rows, hashlib.sha256(w[j].tobytes() + b[j].tobytes()).hexdigest()))
-        return w, b, ran
+        return trained
 
     return train_and_record
 

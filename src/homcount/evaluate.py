@@ -116,9 +116,28 @@ def _sum_classes(z: np.ndarray, acc: np.ndarray) -> None:
         total += z[:, j : j + 1]
 
 
+def _distinct_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each fold's distinct (row, label) pairs, keyed on the row's exact bytes
+    (so -0.0 and 0.0 differ) and numbered in order of first occurrence.
+
+    Returns each pair's first row, padded with row 0 to n per fold, (F, n);
+    each row's pair, (F, n); and the number of pairs per fold, (F,).
+    """
+    f, n, _ = x.shape
+    first, pair = np.zeros((f, n), dtype=np.intp), np.empty((f, n), dtype=np.intp)
+    counts = np.empty(f, dtype=np.int64)
+    for j in range(f):
+        slots: dict = {}
+        keys = zip(map(np.ndarray.tobytes, x[j]), y[j].tolist())
+        pair[j] = [slots.setdefault(key, len(slots)) for key in keys]
+        counts[j] = len(slots)
+        first[j, : len(slots)] = np.unique(pair[j], return_index=True)[1]
+    return first, pair, counts
+
+
 def _train_stack(
     x: np.ndarray, y: np.ndarray, num_classes: int, hyper: Hyper
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Train F same-shaped classifiers as one stacked program.
 
     `x` is (F, n, d) and `y` is (F, n). Every fold runs the arithmetic of a
@@ -127,13 +146,20 @@ def _train_stack(
     softmax runs on class-major (F, C, n) scores, so each reduction over the
     classes is elementwise over n rows; the error term is then laid out
     row-major for the weight gradient and sample-major for the bias gradient.
+    Equal rows with equal labels have equal error terms, so where a fold
+    repeats a (row, label) pair the softmax runs on the scores of each
+    pair's first row only, padded to the stack's largest pair count, and
+    the error term is copied back to every row. The products stay on all n
+    rows: BLAS may round a narrower product differently.
     A fold whose gradient norm falls below 1e-15 stops there and leaves the
     stack; the rest keep training.
 
-    Returns weights (F, d, C), biases (F, C) and the epochs each fold ran.
+    Returns weights (F, d, C), biases (F, C), the epochs each fold ran and
+    the number of distinct (row, label) pairs each fold trained on.
     """
     f, n, d = x.shape
     c = num_classes
+    first, pair, counts = _distinct_rows(x, y)
     weights = np.zeros((f, d, c))
     biases = np.zeros((f, 1, c))
     epochs_run = np.full(f, hyper.epochs)
@@ -144,23 +170,41 @@ def _train_stack(
         if zc is None:
             m = len(live)
             xt = x.transpose(0, 2, 1)
-            # each row's label in flat class-major scores: f*C*n + y*n + i
-            hot = ((np.arange(m) * c * n)[:, None] + y * n + np.arange(n)).reshape(-1)
-            zc, zr = np.empty((m, c, n)), np.empty((m, n, c))
+            zc, zr = np.empty((m, c, n)), np.empty((m, n, c))  # scores; error term
             zs = zc.reshape(n, m, c)  # zc's memory, sample-major
-            acc = zr.reshape(m, c, n)  # zr's memory, free until the error term
+            if counts[live].min() == n:  # no repeats: the softmax runs in place
+                u, z, labels = n, zc, y
+                acc, err = zr.reshape(m, c, n), zr  # zr's memory, free until the error term
+            else:
+                u = int(counts[live].max())
+                cols = first[live, :u]
+                labels = np.take_along_axis(y, cols, axis=1)
+                z = zr.reshape(-1)[: m * c * u].reshape(m, c, u)  # free until the error term
+                acc = zc.reshape(-1)[: m * c * u].reshape(m, c, u)  # free once z is gathered
+                err = zc.reshape(-1)[: m * u * c].reshape(m, u, c)  # free once acc is read
+                # flat scores of each fold's distinct columns, f*C*n + class*n + col,
+                # and each row's error term in the (m*u, C) rows of err, f*u + pair
+                gather = ((np.arange(m) * c * n)[:, None, None] + (np.arange(c) * n)[:, None]
+                          + cols[:, None, :]).reshape(-1)
+                back = ((np.arange(m) * u)[:, None] + pair[live]).reshape(-1)
+            # each label in flat class-major softmax input: f*C*u + label*u + col
+            hot = ((np.arange(m) * c * u)[:, None] + labels * u + np.arange(u)).reshape(-1)
             rows = acc[:, :1]  # row max, then row sum
             gw, gw_tmp = np.empty((m, d, c)), np.empty((m, d, c))
             gb, gb_sq = np.empty((m, 1, c)), np.empty((m, 1, c))
         np.matmul(w.transpose(0, 2, 1), xt, out=zc)
-        zc += b.transpose(0, 2, 1)
-        zc.max(axis=1, keepdims=True, out=rows)
-        zc -= rows
-        np.exp(zc, out=zc)
-        _sum_classes(zc, acc)
-        zc /= rows  # softmax probabilities
-        zc.reshape(-1)[hot] -= 1.0  # minus the one-hot labels; p - 0.0 == p
-        np.divide(zc.transpose(0, 2, 1), n, out=zr)  # the error term, row-major
+        if z is not zc:
+            np.take(zc.reshape(-1), gather, out=z.reshape(-1), mode="clip")  # clip: unbuffered
+        z += b.transpose(0, 2, 1)
+        z.max(axis=1, keepdims=True, out=rows)
+        z -= rows
+        np.exp(z, out=z)
+        _sum_classes(z, acc)
+        z /= rows  # softmax probabilities
+        z.reshape(-1)[hot] -= 1.0  # minus the one-hot labels; p - 0.0 == p
+        np.divide(z.transpose(0, 2, 1), n, out=err)  # the error term, row-major
+        if err is not zr:
+            np.take(err.reshape(m * u, c), back, axis=0, out=zr.reshape(m * n, c), mode="clip")
         np.matmul(xt, zr, out=gw)
         np.multiply(w, hyper.l2, out=gw_tmp)
         gw += gw_tmp
@@ -184,7 +228,7 @@ def _train_stack(
         gb *= scale
         b -= gb
     weights[live], biases[live] = w, b
-    return weights, biases[:, 0], epochs_run
+    return weights, biases[:, 0], epochs_run, counts
 
 
 def train_classifier(
@@ -214,7 +258,7 @@ def train_classifier(
     c = num_classes if num_classes is not None else int(y.max()) + 1
     if ((y < 0) | (y >= c)).any():
         raise ValueError(f"labels must lie in 0..{c - 1}")
-    w, b, _ = _train_stack(x[None], y[None], c, hyper)
+    w, b, _, _ = _train_stack(x[None], y[None], c, hyper)
     return LogisticModel(weights=w[0], bias=b[0])
 
 
@@ -236,8 +280,9 @@ def _run_folds(
     bundle: DatasetBundle,
     hyper: Hyper,
     splits: list[list[tuple[list[int], list[int]]]],
-) -> tuple[list[float], list[int], float]:
-    """Per-fold accuracies and epochs run, in split order, and the training wall time.
+) -> tuple[list[float], list[int], list[int], float]:
+    """Per-fold accuracies, epochs run and distinct (row, label) pairs trained
+    on, in split order, and the training wall time.
 
     The folds of all repeats with one train-set size (at most two sizes occur)
     form one stack, cut into a slice per usable CPU. The caller and a worker
@@ -261,7 +306,7 @@ def _run_folds(
         x_row, y_row = rows[i]
         x_row[:], y_row[:] = values[train_idx], labels[train_idx]
         test_x.append(values[test_idx])
-    models, epochs_run = [None] * len(folds), [0] * len(folds)
+    models, epochs_run, distinct = [None] * len(folds), [0] * len(folds), [0] * len(folds)
     train = partial(_train_stack, num_classes=bundle.num_classes, hyper=hyper)
     train_start = time.perf_counter()
     for group, x, y in stacks:
@@ -270,13 +315,14 @@ def _run_folds(
         with ThreadPoolExecutor(max(cut - 1, 1)) as pool:  # starts no thread if unused
             rest = [pool.submit(train, *xy) for xy in slices[1:]]
             trained = [train(*slices[0])] + [future.result() for future in rest]
-        w, b, ran = (np.concatenate(parts) for parts in zip(*trained))
+        w, b, ran, pairs = (np.concatenate(parts) for parts in zip(*trained))
         for j, i in enumerate(group):
-            models[i], epochs_run[i] = LogisticModel(weights=w[j], bias=b[j]), int(ran[j])
+            models[i] = LogisticModel(weights=w[j], bias=b[j])
+            epochs_run[i], distinct[i] = int(ran[j]), int(pairs[j])
     train_seconds = time.perf_counter() - train_start
     accuracies = [float(np.mean(predict(model, test) == labels[test_idx]))
                   for model, test, (_, test_idx) in zip(models, test_x, folds)]
-    return accuracies, epochs_run, train_seconds
+    return accuracies, epochs_run, distinct, train_seconds
 
 
 def cross_validate(
@@ -292,15 +338,16 @@ def cross_validate(
     """Repeated stratified k-fold CV; the standardizer is fitted per fold on
     training rows only, so no test statistics leak into scaling.
     `config["epochs_run"]` holds the epochs each fold trained, in fold order,
-    and `layer_seconds` the wall-clock time of the embed and train+predict
-    layers, and of the stacked training within the latter."""
+    `config["distinct_rows"]` the distinct (row, label) pairs each fold
+    trained on, and `layer_seconds` the wall-clock time of the embed and
+    train+predict layers, and of the stacked training within the latter."""
     start = time.perf_counter()
     splits = [stratified_kfold(bundle.labels, k=k, seed=_fold_seed(seed, r))
               for r in range(repeats)]
     embed_start = time.perf_counter()
     matrix = embed(bundle, family, phi_set=phi_set, density=density)
     embed_end = time.perf_counter()
-    accuracies, epochs_run, train_seconds = _run_folds(matrix, bundle, hyper, splits)
+    accuracies, epochs_run, distinct_rows, train_seconds = _run_folds(matrix, bundle, hyper, splits)
     train_end = time.perf_counter()
     acc = np.asarray(accuracies)
     config = {
@@ -312,6 +359,7 @@ def cross_validate(
         "k": k,
         "repeats": repeats,
         "epochs_run": epochs_run,
+        "distinct_rows": distinct_rows,
     }
     return CVReport(
         fold_accuracies=accuracies,

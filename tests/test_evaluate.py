@@ -1,3 +1,5 @@
+import itertools
+import random
 import threading
 
 import numpy as np
@@ -162,6 +164,21 @@ class TestCrossValidate:
         rep = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=2)
         assert rep.config["epochs_run"] == [Hyper().epochs] * 10
 
+    def test_distinct_rows_recorded_per_fold(self):
+        # CSL graphs of one class are isomorphic: one row per class
+        rep = cross_validate(tiny_csl(), "cycles:8", hyper=Hyper(epochs=5), k=5, repeats=2)
+        assert rep.config["distinct_rows"] == [10] * 10
+        # random graphs with distinct edge counts: every training row differs
+        rng = random.Random(0)
+        edges = list(itertools.combinations(range(9), 2))
+        graphs = [Graph(9, rng.sample(edges, m)) for m in range(3, 23)]
+        labels = [rng.randrange(2) for _ in graphs]
+        bundle = DatasetBundle(name="random", graphs=graphs, labels=labels)
+        rep = cross_validate(bundle, "cycles:4", hyper=Hyper(epochs=5), k=4, repeats=2)
+        sizes = [len(train) for r in range(2)
+                 for train, _ in stratified_kfold(bundle.labels, k=4, seed=_fold_seed(0, r))]
+        assert rep.config["distinct_rows"] == sizes
+
     def test_k_larger_than_dataset_is_named_error(self):
         with pytest.raises(ValueError, match="k=12 .* has 10 graphs"):
             cross_validate(gen_csl(copies_per_class=1), "cycles:4", k=12)
@@ -283,10 +300,10 @@ class TestTrainStackShapes:
 
     @staticmethod
     def check(x, y, c, hyper):
-        w, b, ran = _train_stack(x, y, c, hyper)
+        w, b, ran, _ = _train_stack(x, y, c, hyper)
         for i in range(len(x)):
             ref_w, ref_b, ref_ran = reference_train(x[i], y[i], c, hyper)
-            one_w, one_b, one_ran = _train_stack(x[i : i + 1], y[i : i + 1], c, hyper)
+            one_w, one_b, one_ran, _ = _train_stack(x[i : i + 1], y[i : i + 1], c, hyper)
             shape = f"fold {i} of {x.shape}, C={c}, l2={hyper.l2}"
             assert np.array_equal(w[i], ref_w) and np.array_equal(b[i], ref_b), shape
             assert np.array_equal(w[i], one_w[0]) and np.array_equal(b[i], one_b[0]), shape
@@ -310,3 +327,46 @@ class TestTrainStackShapes:
         x[1], y[1] = 0.0, [0, 1, 2, 0, 1, 2]  # balanced and featureless: a zero gradient
         ran = self.check(x, y, 3, Hyper(epochs=40))
         assert list(ran) == [40, 0, 40, 40]
+
+    @staticmethod
+    def pair_counts(x, y):
+        return [len({(row.tobytes(), int(label)) for row, label in zip(x[i], y[i])})
+                for i in range(len(x))]
+
+    @pytest.mark.parametrize("c", [1, 2, 10, 130])
+    @pytest.mark.parametrize("kind", ["one-label", "two-labels", "all-equal", "signed-zero"])
+    def test_repeated_rows_match_reference(self, kind, c):
+        # the softmax runs once per distinct (row bytes, label) pair of a fold
+        rng = np.random.default_rng(c)
+        for d in (0, 1, 7):
+            for n in (1, 2, 40):
+                sources = max(n // 4, 2)
+                pick = rng.integers(0, sources, size=(3, n))  # each row's source row
+                if kind == "all-equal":
+                    pick[:] = 0
+                pick[:, 1:2] = pick[:, :1]  # rows 0 and 1 are copies
+                x = np.take_along_axis(rng.normal(size=(3, sources, d)), pick[..., None], axis=1)
+                y = np.take_along_axis(rng.integers(0, c, size=(3, sources)), pick, axis=1)
+                if kind == "two-labels":
+                    y[:, 1:2] = (y[:, :1] + 1) % c  # the same row under another label
+                if kind == "signed-zero" and d:
+                    x[..., 0] = 0.0
+                    x[:, 1::2, 0] = -0.0  # copies that differ only in the sign of a zero
+                l2 = float(rng.choice([0.0, 0.01]))
+                self.check(x, y, c, Hyper(l2=l2, epochs=int(rng.integers(1, 51))))
+                counts = self.pair_counts(x, y)
+                assert list(_train_stack(x, y, c, Hyper(epochs=1))[3]) == counts
+                if kind == "all-equal":
+                    assert counts == [1] * 3
+                if n > 1 and (kind == "two-labels" and c > 1 or kind == "signed-zero" and d):
+                    assert min(counts) >= 2
+
+    def test_early_stop_among_repeated_rows(self):
+        rng = np.random.default_rng(1)
+        pick = rng.integers(0, 3, size=(4, 9))
+        x = np.take_along_axis(rng.normal(size=(4, 9, 2)), pick[..., None], axis=1)
+        y = np.take_along_axis(rng.integers(0, 3, size=(4, 9)), pick, axis=1)
+        x[2], y[2] = 0.0, [0, 1, 2] * 3  # balanced and featureless: a zero gradient
+        ran = self.check(x, y, 3, Hyper(epochs=40))
+        assert list(ran) == [40, 40, 0, 40]
+        assert self.pair_counts(x, y)[2] == 3 and max(self.pair_counts(x, y)) <= 3

@@ -11,6 +11,7 @@ from homcount.datasets import DatasetBundle
 from homcount.embedding import embed
 from homcount.graphs import FeaturedGraph, Graph, disjoint_union, is_bipartite, permute
 from homcount.hom import (
+    EXACT_LIMIT,
     PhiFunction,
     hom,
     hom_brute,
@@ -169,6 +170,36 @@ class TestCycleAlgorithm:
         # The edge and C3..C_length share one chain of powers.
         vec = hom_vector(enumerate_cycles(length), k(n))
         assert vec.tolist() == [float(closed_walks(kk)) for kk in range(2, length + 1)]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_traces_across_the_int64_switch(self, data):
+        # Dense graphs and lengths whose chain of powers passes the int64
+        # bound test, max(A^j) * max degree >= 2**62, before A^length.
+        n = data.draw(st.integers(8, 12), label="n")
+        pairs = list(itertools.combinations(range(n), 2))
+        missing = data.draw(st.sets(st.sampled_from(pairs), max_size=n), label="missing edges")
+        g = Graph(n, [e for e in pairs if e not in missing])
+        a = [[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)]
+        degree = max(1, max(map(sum, a)))
+        powers = [[[int(u == v) for v in range(n)] for u in range(n)], a]  # A^0, A^1: Python ints
+
+        def extend(j):
+            while len(powers) <= j:
+                powers.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*a)]
+                               for row in powers[-1]])
+            return powers[j]
+
+        switch = next(j for j in range(1, 40) if max(map(max, extend(j))) * degree >= 1 << 62)
+        length = data.draw(st.integers(switch + 1, 40), label="length")
+        traces = [sum(extend(j)[i][i] for i in range(n)) for j in range(length + 1)]
+        hv = hom_cycle(length, g)
+        if traces[length] < EXACT_LIMIT:
+            assert hv.mode == "exact" and hv.value == traces[length]
+        else:
+            assert hv.promoted and hv.value == float(traces[length])
+        vec = hom_vector(enumerate_cycles(length), g)
+        assert vec.tolist() == [float(t) for t in traces[2:]]
 
     def test_promotion_beyond_128_bits(self):
         hv = hom_cycle(40, k(20))
