@@ -140,17 +140,23 @@ def _train_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Train F same-shaped classifiers as one stacked program.
 
-    `x` is (F, n, d) and `y` is (F, n). Every fold runs the arithmetic of a
-    single 2-D fit, op for op, so each fold's result is bit-identical to
-    training it alone. Batched matmul makes one BLAS product per fold. The
-    softmax runs on class-major (F, C, n) scores, so each reduction over the
-    classes is elementwise over n rows; the error term is then laid out
-    row-major for the weight gradient and sample-major for the bias gradient.
-    Equal rows with equal labels have equal error terms, so where a fold
-    repeats a (row, label) pair the softmax runs on the scores of each
-    pair's first row only, padded to the stack's largest pair count, and
-    the error term is copied back to every row. The products stay on all n
-    rows: BLAS may round a narrower product differently.
+    `x` is (F, n, d) and `y` is (F, n). Batched matmul makes one BLAS
+    product per fold. The softmax runs on class-major (F, C, n) scores, so
+    each reduction over the classes is elementwise over n rows; the error
+    term is then laid out row-major for the weight gradient and sample-major
+    for the bias gradient. Equal rows with equal labels get equal error
+    terms wherever BLAS gives them equal scores, so where every fold of the
+    stack has at most 0.6 n distinct (row, label) pairs, the softmax runs on
+    each pair's first row only, padded to the stack's largest pair count,
+    and the error term is copied back to every row. With more pairs the
+    gather and the copy cost more than they save (break-even measured near
+    0.7 n), and the softmax runs on all n rows. The products stay on all n
+    rows: BLAS may round a narrower product differently. Each fold's result
+    is thus bit-identical to training it alone with `train_classifier` and
+    to the softmax on every row wherever BLAS gives bit-equal rows bit-equal
+    scores. Where it does not (seen with 130 classes and 45 or more
+    features, and with 40 classes and 97 or more), the two paths can differ
+    in the low bits, and a fold's result can depend on its stack's path.
     A fold whose gradient norm falls below 1e-15 stops there and leaves the
     stack; the rest keep training.
 
@@ -172,11 +178,11 @@ def _train_stack(
             xt = x.transpose(0, 2, 1)
             zc, zr = np.empty((m, c, n)), np.empty((m, n, c))  # scores; error term
             zs = zc.reshape(n, m, c)  # zc's memory, sample-major
-            if counts[live].min() == n:  # no repeats: the softmax runs in place
+            u = int(counts[live].max())
+            if u > 0.6 * n:  # too few repeats to pay for the gather: the softmax runs in place
                 u, z, labels = n, zc, y
                 acc, err = zr.reshape(m, c, n), zr  # zr's memory, free until the error term
             else:
-                u = int(counts[live].max())
                 cols = first[live, :u]
                 labels = np.take_along_axis(y, cols, axis=1)
                 z = zr.reshape(-1)[: m * c * u].reshape(m, c, u)  # free until the error term

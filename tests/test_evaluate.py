@@ -370,3 +370,22 @@ class TestTrainStackShapes:
         ran = self.check(x, y, 3, Hyper(epochs=40))
         assert list(ran) == [40, 40, 0, 40]
         assert self.pair_counts(x, y)[2] == 3 and max(self.pair_counts(x, y)) <= 3
+
+    @pytest.mark.parametrize("c", [2, 8, 10])
+    def test_gathered_and_in_place_softmax_agree(self, c):
+        # folds 1 and 2 have 4 distinct pairs in 40 rows and train alone on the
+        # gathered columns; next to the all-distinct fold 0 the stack runs the
+        # softmax on every row
+        rng = np.random.default_rng(c)
+        pick = rng.integers(0, 4, size=(3, 40))
+        x = np.take_along_axis(rng.normal(size=(3, 4, 7)), pick[..., None], axis=1)
+        y = np.take_along_axis(rng.integers(0, c, size=(3, 4)), pick, axis=1)
+        x[0] = rng.normal(size=(40, 7))
+        self.check(x, y, c, Hyper(epochs=30))
+        assert self.pair_counts(x, y)[0] == 40 and max(self.pair_counts(x, y)[1:]) <= 4
+        # each row of fold 0 once per label: all pairs distinct and a zero
+        # gradient, so fold 0 stops at once and the rest switch to the gather
+        x[0] = np.repeat(rng.normal(size=(40 // c, 7)), c, axis=0)
+        y[0] = np.tile(np.arange(c), 40 // c)
+        ran = self.check(x, y, c, Hyper(epochs=30))
+        assert list(ran) == [0, 30, 30] and self.pair_counts(x, y)[0] == 40
