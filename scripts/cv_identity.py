@@ -19,14 +19,20 @@ one CPU and once to two. For each workload it prints one tab-separated line:
 
 Two more lines give column 4 for the labeled graphs of perfbench's
 `labeled-embed` workload (`gen_labeled(0, 100)` with cycles:6 and trees:6
-under the default encoders), with "-" in the CV columns. Two commits give
-the same embeddings, fold results and weights exactly when the first six
-columns match:
+under the default encoders), with "-" in the CV columns. One-hot label
+weights keep every weighted sum an integer, so those lines cannot see a
+change in summation order. The last two lines therefore embed
+`gen_labeled(0, 30)` under one affine encoder with non-integer weights,
+once with cycles:6 and once with the custom non-tree patterns K4, the
+diamond, the bowtie and the banner.
+
+Two commits give the same embeddings, fold results and weights exactly
+when the first six columns match:
 
     python3 scripts/cv_identity.py | cut -f1-6 > ids.txt    # on each commit
     diff ids_before.txt ids_after.txt
 
-Run from the repository root; it takes about a minute on two cores.
+Run from the repository root; it takes about 15 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from homcount import embedding, evaluate  # noqa: E402
 from homcount.datasets import gen_bipartite_er, gen_csl, load_paulus  # noqa: E402
+from homcount.graphs import Graph  # noqa: E402
+from homcount.hom import PhiFunction  # noqa: E402
+from homcount.patterns import custom_pattern  # noqa: E402
 from workloads import LABELED_FAMILIES, gen_labeled  # noqa: E402
 
 WORKLOADS = [
@@ -53,6 +62,19 @@ WORKLOADS = [
     ("paulus", load_paulus, "trees:6"),
 ]
 
+# real-valued vertex weights: every label weighs a non-integer, one negative
+AFFINE = PhiFunction.affine([0.37, -0.61, 1.13, 0.29], bias=0.05)
+# Labeled so that the diamond (shared edge 0-1), the bowtie (center 0) and
+# the banner (C4 0-1-4-2 with leaf 3) decompose with a join node, whose
+# left table fixes the order of the later forget sums. Swapping the join
+# arms changes the banner's column in the low bits.
+NON_TREES = {
+    "K4": Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "diamond": Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "bowtie": Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    "banner": Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)]),
+}
+
 
 def fingerprint(report: evaluate.CVReport) -> str:
     record = {
@@ -62,10 +84,10 @@ def fingerprint(report: evaluate.CVReport) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
-def embedding_digest(bundle, family: str) -> str:
+def embedding_digest(bundle, family, phi_set=None) -> str:
     h = hashlib.sha256()
     for density in (False, True):
-        m = embedding.embed(bundle, family, density=density)
+        m = embedding.embed(bundle, family, phi_set=phi_set, density=density)
         h.update(m.values.tobytes())
         h.update(json.dumps([asdict(c) for c in m.column_meta]).encode())
     return h.hexdigest()
@@ -106,6 +128,14 @@ def main() -> None:
     for family in LABELED_FAMILIES:
         line = [f"labeled/{family}", "-", "-", embedding_digest(labeled, family), "-", "-"]
         print("\t".join(line), flush=True)
+    small = gen_labeled(0, 30)
+    real_families = {
+        "cycles:6": "cycles:6",
+        "+".join(NON_TREES): [custom_pattern(g) for g in NON_TREES.values()],
+    }
+    for name, family in real_families.items():
+        digest = embedding_digest(small, family, phi_set=[AFFINE])
+        print("\t".join([f"labeled-affine/{name}", "-", "-", digest, "-", "-"]), flush=True)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, check_feature_range, is_bipartite, permute
-from .hom import hom_cycle
+from .hom import _walk_traces
 
 DEFAULT_CSL_SKIPS = (2, 3, 4, 5, 6, 9, 11, 12, 13, 16)
 
@@ -243,7 +243,24 @@ def csl_template(num_vertices: int, skip: int) -> Graph:
 
 
 def _cycle_profile(g: Graph, max_k: int = 8) -> tuple[int, ...]:
-    return tuple(int(hom_cycle(k, g).value) for k in range(2, max_k + 1))
+    """hom(C_k, g) for k = 2..max_k, from one chain of adjacency powers."""
+    return tuple(_walk_traces(g, max_k)[2:])
+
+
+def _permuted_copies(
+    templates: Sequence[Graph], copies_per_class: int, seed: int
+) -> tuple[list[Graph], list[int]]:
+    """`copies_per_class` seeded random relabelings of each template, class
+    i holding the copies of template i."""
+    rng = random.Random(seed)
+    graphs, labels = [], []
+    for cls, template in enumerate(templates):
+        for _ in range(copies_per_class):
+            sigma = list(range(template.num_vertices))
+            rng.shuffle(sigma)
+            graphs.append(permute(template, sigma))
+            labels.append(cls)
+    return graphs, labels
 
 
 def gen_csl(
@@ -266,14 +283,7 @@ def gen_csl(
                 raise ValueError(
                     f"skips {skips[i]} and {skips[j]} have identical cycle profiles"
                 )
-    rng = random.Random(seed)
-    graphs, labels = [], []
-    for cls, template in enumerate(templates):
-        for _ in range(copies_per_class):
-            sigma = list(range(num_vertices))
-            rng.shuffle(sigma)
-            graphs.append(permute(template, sigma))
-            labels.append(cls)
+    graphs, labels = _permuted_copies(templates, copies_per_class, seed)
     return DatasetBundle(
         name="CSL",
         graphs=graphs,
@@ -368,14 +378,7 @@ def load_paulus(
         if any(g.degree(v) != 12 for v in range(n)):
             raise ValueError(f"{path.name}: template is not 12-regular")
         templates.append(g)
-    rng = random.Random(seed)
-    graphs, labels = [], []
-    for cls, template in enumerate(templates):
-        for _ in range(copies_per_class):
-            sigma = list(range(25))
-            rng.shuffle(sigma)
-            graphs.append(permute(template, sigma))
-            labels.append(cls)
+    graphs, labels = _permuted_copies(templates, copies_per_class, seed)
     return DatasetBundle(
         name="PAULUS25",
         graphs=graphs,

@@ -153,22 +153,35 @@ def degree_sequence(g: Graph) -> list[int]:
     return sorted(len(a) for a in g.adjacency)
 
 
+def rooted_order(g: Graph, root: int) -> Iterator[tuple[int, int]]:
+    """(vertex, parent) pairs for the component of `root`, the root first
+    with parent -1, each vertex after its parent.
+
+    Vertices are listed as they are discovered by a depth-first search that
+    scans the most recently discovered vertex next (LIFO), in adjacency
+    order; reversed, the pairs visit every vertex after all its children.
+    """
+    yield root, -1
+    seen = {root}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v in g.adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+                yield v, u
+
+
 def bipartite_coloring(g: Graph) -> Optional[list[int]]:
     """A proper 2-coloring (values 0/1) if one exists, else None."""
     color = [-1] * g.num_vertices
     for start in range(g.num_vertices):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in g.adjacency[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
+        if color[start] == -1:
+            for v, parent in rooted_order(g, start):
+                color[v] = 0 if parent < 0 else 1 - color[parent]
+    if any(color[u] == color[v] for u, v in g.edges()):
+        return None
     return color
 
 

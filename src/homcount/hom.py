@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import FeaturedGraph, Graph
+from .graphs import FeaturedGraph, Graph, rooted_order
 from .patterns import (
     Pattern,
     TreeDecomposition,
@@ -152,21 +152,6 @@ def hom_brute(
 # linear-time tree dynamic program
 
 
-def _rooted_tree_order(fg: Graph, root: int = 0) -> list[tuple[int, int]]:
-    """(vertex, parent) pairs in a bottom-up processing order."""
-    order = [(root, -1)]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        v, _ = order[i]
-        i += 1
-        for c in fg.adjacency[v]:
-            if c not in seen:
-                seen.add(c)
-                order.append((c, v))
-    return order
-
-
 def hom_tree(
     f: Union[Pattern, Graph], g: Graph, weights: Optional[Sequence[float]] = None
 ) -> HomValue:
@@ -184,9 +169,8 @@ def hom_tree(
     exact = weights is None
     base = [1] * ng if exact else list(weights)
     zero = 0 if exact else 0.0
-    order = _rooted_tree_order(fg)
     table: dict[int, list] = {}
-    for v, parent in reversed(order):
+    for v, parent in reversed(list(rooted_order(fg, 0))):
         vec = list(base)
         for c in fg.adjacency[v]:
             if c == parent:
@@ -198,7 +182,7 @@ def hom_tree(
                     s += child[h]
                 vec[gv] *= s
         table[v] = vec
-    return _finish(sum(table[order[0][0]]), exact)
+    return _finish(sum(table[0]), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +227,13 @@ def hom_treedec(
 ) -> HomValue:
     """Homomorphism count via bottom-up tables over a nice decomposition.
 
-    Tables map bag assignments to partial sums. Introduce nodes check pattern
-    edges inside the bag, forget nodes sum a vertex out, join nodes multiply
-    matching assignments. Vertex weights are applied at the forget step, the
-    single point where each pattern vertex leaves scope, so no assignment is
-    weighted twice and no division is needed at joins.
+    Tables map bag assignments to partial sums. The decomposition numbers
+    its nodes bottom-up, so one pass in node order finds every child's table
+    ready, and the last node, the root, holds the count. Introduce nodes
+    check pattern edges inside the bag, forget nodes sum a vertex out, join
+    nodes multiply matching assignments. Vertex weights are applied at the
+    forget step, the single point where each pattern vertex leaves scope, so
+    no assignment is weighted twice and no division is needed at joins.
     """
     fg = _pattern_graph(f)
     validate_decomposition(td, fg)
@@ -256,20 +242,12 @@ def hom_treedec(
     w = [1] * ng if exact else list(weights)
     one = 1 if exact else 1.0
 
-    kids = td.children()
-    topo = [td.root]
-    i = 0
-    while i < len(topo):
-        t = topo[i]
-        i += 1
-        topo.extend(kids[t])
-
+    kids = td.children
     tables: dict[int, dict[tuple[int, ...], object]] = {}
-    bag_order: dict[int, tuple[int, ...]] = {t: tuple(sorted(td.bags[t])) for t in range(len(td.bags))}
+    bag_order = [tuple(sorted(bag)) for bag in td.bags]
     amat = g.neighbor_sets
 
-    for t in reversed(topo):
-        kind = td.node_kind[t]
+    for t, kind in enumerate(td.node_kind):
         if kind == "leaf":
             tables[t] = {(): one}
             continue
@@ -316,7 +294,7 @@ def hom_treedec(
                     new[key] = val * w[gv]
             tables[t] = new
 
-    return _finish(tables[td.root].get((), 0), exact)
+    return _finish(tables[len(td.bags) - 1].get((), 0), exact)
 
 
 # ---------------------------------------------------------------------------

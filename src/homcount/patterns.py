@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, rooted_order
 
 MAX_TREE_CATALOG_SIZE = 12
 
@@ -32,27 +32,17 @@ class Pattern:
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """A nice tree decomposition: leaf / introduce / forget / join nodes."""
+    """A nice tree decomposition: leaf / introduce / forget / join nodes.
 
-    tree: Graph
+    Nodes are numbered bottom-up: `children[t]` lists the children of node
+    t in ascending order, each numbered below t, and the last node is the
+    root.
+    """
+
     bags: tuple[frozenset[int], ...]
-    width: int
-    root: int
+    children: tuple[tuple[int, ...], ...]
     node_kind: tuple[str, ...]
-
-    def children(self) -> list[list[int]]:
-        """Child lists per node, oriented away from the root."""
-        kids: list[list[int]] = [[] for _ in range(self.tree.num_vertices)]
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            t = stack.pop()
-            for s in self.tree.neighbors(t):
-                if s not in seen:
-                    seen.add(s)
-                    kids[t].append(s)
-                    stack.append(s)
-        return kids
+    width: int
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +51,7 @@ class TreeDecomposition:
 
 def _is_connected(g: Graph) -> bool:
     """Whether a graph with at least one vertex is connected."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.num_vertices
+    return sum(1 for _ in rooted_order(g, 0)) == g.num_vertices
 
 
 def _is_tree(g: Graph) -> bool:
@@ -104,16 +86,8 @@ def _tree_centers(g: Graph) -> list[int]:
 
 def _rooted_ahu(g: Graph, root: int) -> str:
     code: dict[int, str] = {}
-    stack = [(root, -1, False)]
-    while stack:
-        v, parent, expanded = stack.pop()
-        if expanded:
-            code[v] = "(" + "".join(sorted(code[c] for c in g.adjacency[v] if c != parent)) + ")"
-        else:
-            stack.append((v, parent, True))
-            for c in g.adjacency[v]:
-                if c != parent:
-                    stack.append((c, v, False))
+    for v, parent in reversed(list(rooted_order(g, root))):
+        code[v] = "(" + "".join(sorted(code[c] for c in g.adjacency[v] if c != parent)) + ")"
     return code[root]
 
 
@@ -341,51 +315,43 @@ def treewidth_exact(g: Graph) -> tuple[int, list[int]]:
     return width[full], order
 
 
-def _elimination_bags(g: Graph, order: Sequence[int]) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    """Decomposition bags from an elimination order, with fill-in edges."""
+def _elimination_bags(g: Graph, order: Sequence[int]) -> tuple[list[frozenset[int]], list[int]]:
+    """Decomposition bags from an elimination order, with fill-in edges, and
+    each bag's parent: always a later bag, or -1 for the last bag."""
     n = g.num_vertices
     if sorted(order) != list(range(n)):
         raise ValueError("elimination order must be a permutation of the vertices")
     position = {v: i for i, v in enumerate(order)}
     neighbors = {v: set(g.adjacency[v]) for v in range(n)}
     bags: list[frozenset[int]] = []
-    bag_of: dict[int, int] = {}
+    parent: list[int] = []
     for idx, v in enumerate(order):
         later = {u for u in neighbors[v] if position[u] > idx}
         bags.append(frozenset({v} | later))
-        bag_of[v] = idx
+        # The parent is the bag of the first-eliminated later neighbor; bags
+        # whose vertex had none (component ends) chain to the next bag so the
+        # decomposition stays a single tree.
+        parent.append(min((position[u] for u in later), default=idx + 1))
         for a in later:
             neighbors[a].discard(v)
             for b in later:
                 if a != b:
                     neighbors[a].add(b)
-    # Each bag links to the bag of its first-eliminated later neighbor; bags
-    # whose vertex had none (component ends) chain to the next bag so the
-    # decomposition stays a single tree.
-    edges: list[tuple[int, int]] = []
-    for idx, v in enumerate(order):
-        later = bags[idx] - {v}
-        if later:
-            first = min(later, key=lambda u: position[u])
-            edges.append((idx, bag_of[first]))
-        elif idx + 1 < len(bags):
-            edges.append((idx, idx + 1))
-    return bags, edges
+    parent[-1] = -1
+    return bags, parent
 
 
 class _NiceBuilder:
     def __init__(self):
         self.bags: list[frozenset[int]] = []
         self.kinds: list[str] = []
-        self.edges: list[tuple[int, int]] = []
+        self.children: list[tuple[int, ...]] = []
 
     def add(self, bag: frozenset[int], kind: str, children: Sequence[int] = ()) -> int:
-        idx = len(self.bags)
         self.bags.append(bag)
         self.kinds.append(kind)
-        for c in children:
-            self.edges.append((idx, c))
-        return idx
+        self.children.append(tuple(sorted(children)))
+        return len(self.bags) - 1
 
     def chain_up(self, node: int, source: frozenset[int], target: frozenset[int]) -> int:
         """Forget then introduce, one vertex per step, from source to target."""
@@ -398,73 +364,57 @@ class _NiceBuilder:
             node = self.add(bag, "introduce", [node])
         return node
 
-    def leaf_chain(self, target: frozenset[int]) -> int:
-        node = self.add(frozenset(), "leaf")
-        bag: frozenset[int] = frozenset()
-        for v in sorted(target):
-            bag = bag | {v}
-            node = self.add(bag, "introduce", [node])
-        return node
-
 
 def build_nice_decomposition(g: Graph, order: Sequence[int]) -> TreeDecomposition:
     """Nice tree decomposition of g from an elimination order.
 
     The root bag is empty, leaves have empty bags, and each vertex is
     forgotten exactly once on the path to the root. The empty graph gets a
-    single empty leaf, whose one table entry is the empty map.
+    single empty leaf, whose one table entry is the empty map. Elimination
+    bags are built in order, each after its children (which precede it),
+    so the nice nodes come out numbered bottom-up.
     """
     if g.num_vertices == 0:
-        return TreeDecomposition(Graph(1), (frozenset(),), -1, 0, ("leaf",))
-    bags, tree_edges = _elimination_bags(g, order)
-    children: list[list[int]] = [[] for _ in bags]
-    parent = [-1] * len(bags)
-    adj: list[list[int]] = [[] for _ in bags]
-    for a, b in tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    root = len(bags) - 1
-    seen = {root}
-    stack = [root]
-    topo = [root]
-    while stack:
-        t = stack.pop()
-        for s in adj[t]:
-            if s not in seen:
-                seen.add(s)
-                parent[s] = t
-                children[t].append(s)
-                stack.append(s)
-                topo.append(s)
-
+        return TreeDecomposition((frozenset(),), ((),), ("leaf",), -1)
+    bags, parent = _elimination_bags(g, order)
+    arms: list[list[int]] = [[] for _ in bags]  # per bag, its children chained up to it
     nb = _NiceBuilder()
-    built: dict[int, int] = {}
-    for t in reversed(topo):
-        bag = bags[t]
-        if not children[t]:
-            built[t] = nb.leaf_chain(bag)
-            continue
-        arms = []
-        for c in children[t]:
-            arms.append(nb.chain_up(built[c], bags[c], bag))
-        node = arms[0]
-        for arm in arms[1:]:
+    for t, bag in enumerate(bags):
+        node = arms[t][0] if arms[t] else nb.chain_up(nb.add(frozenset(), "leaf"), frozenset(), bag)
+        for arm in arms[t][1:]:
             node = nb.add(bag, "join", [node, arm])
-        built[t] = node
-    top = nb.chain_up(built[root], bags[root], frozenset())
+        if parent[t] < 0:
+            nb.chain_up(node, bag, frozenset())  # the root, last of all
+        else:
+            arms[parent[t]].append(nb.chain_up(node, bag, bags[parent[t]]))
     td = TreeDecomposition(
-        tree=Graph(len(nb.bags), nb.edges),
         bags=tuple(nb.bags),
-        width=max(len(b) for b in nb.bags) - 1,
-        root=top,
+        children=tuple(nb.children),
         node_kind=tuple(nb.kinds),
+        width=max(len(b) for b in nb.bags) - 1,
     )
     validate_decomposition(td, g)
     return td
 
 
 def validate_decomposition(td: TreeDecomposition, g: Graph) -> None:
-    """Assert the three decomposition conditions plus nice-form structure."""
+    """Assert the bottom-up numbering, the three decomposition conditions
+    and nice-form structure."""
+    size = len(td.bags)
+    if not size or len(td.children) != size or len(td.node_kind) != size:
+        raise ValueError("bags, children and node kinds must align, with at least one node")
+    parent = [-1] * size
+    for t, kids in enumerate(td.children):
+        if list(kids) != sorted(kids):
+            raise ValueError(f"children of node {t} are not in ascending order")
+        for c in kids:
+            if not 0 <= c < t:
+                raise ValueError(f"child {c} of node {t} is not numbered below it")
+            if parent[c] >= 0:
+                raise ValueError(f"node {c} has two parents")
+            parent[c] = t
+    if -1 in parent[:-1]:
+        raise ValueError(f"node {parent.index(-1)} has no parent but is not the root")
     cover = set()
     for bag in td.bags:
         cover |= bag
@@ -473,22 +423,16 @@ def validate_decomposition(td: TreeDecomposition, g: Graph) -> None:
     for u, v in g.edges():
         if not any(u in bag and v in bag for bag in td.bags):
             raise ValueError(f"edge ({u}, {v}) not contained in any bag")
+    if td.bags[-1]:
+        raise ValueError("root bag must be empty")
+    # The root holds no vertex, so every bag holding v has a parent, and
+    # those bags are connected iff exactly one of them has a parent without v.
     for v in range(g.num_vertices):
-        nodes = {t for t, bag in enumerate(td.bags) if v in bag}
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for s in td.tree.neighbors(t):
-                if s in nodes and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        if seen != nodes:
+        tops = [t for t, bag in enumerate(td.bags) if v in bag and v not in td.bags[parent[t]]]
+        if len(tops) != 1:
             raise ValueError(f"bags containing vertex {v} are not connected")
-    kids = td.children()
     for t, kind in enumerate(td.node_kind):
-        bag, ch = td.bags[t], kids[t]
+        bag, ch = td.bags[t], td.children[t]
         if kind == "leaf":
             if ch or bag:
                 raise ValueError("leaf nodes must have empty bags and no children")
@@ -503,8 +447,6 @@ def validate_decomposition(td: TreeDecomposition, g: Graph) -> None:
                 raise ValueError("join node needs two children with identical bags")
         else:
             raise ValueError(f"unknown node kind {kind!r}")
-    if td.bags[td.root]:
-        raise ValueError("root bag must be empty")
     if td.width != max(len(b) for b in td.bags) - 1:
         raise ValueError("stored width does not match bags")
 

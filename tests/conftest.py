@@ -39,8 +39,11 @@ def naive_hom(f: Graph, g: Graph, weights=None):
 def reference_train(x, y, num_classes, hyper=Hyper()):
     """Oracle trainer: one fold, one plain 2-D gradient-descent loop.
 
-    The library trains folds as a stacked program; its results must equal
-    this loop's bit for bit. Returns (weights, bias, epochs run).
+    The library trains folds as a stacked program. Its results equal this
+    loop's bit for bit at the shapes the tests use (up to 13 features):
+    from about 30 features on, BLAS rounds the library's scores W^T X^T and
+    this loop's X W differently in the low bits. Returns (weights, bias,
+    epochs run).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

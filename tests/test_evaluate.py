@@ -7,7 +7,7 @@ import pytest
 
 from conftest import reference_train
 from homcount import evaluate
-from homcount.datasets import DatasetBundle, gen_csl, load_paulus
+from homcount.datasets import DatasetBundle, gen_bipartite_er, gen_csl, load_paulus
 from homcount.embedding import apply_standardizer, embed, fit_standardizer
 from homcount.evaluate import (
     Hyper,
@@ -319,6 +319,22 @@ class TestTrainStackShapes:
                     x = rng.normal(size=(3, n, d)) * rng.choice([0.1, 1.0, 10.0])
                     y = rng.integers(0, c, size=(3, n))
                     self.check(x, y, c, Hyper(l2=l2, epochs=int(rng.integers(1, 51))))
+
+    def test_catalog_width_folds_match_one_fold_runs(self):
+        # d = 47, the bipartite trees:8 catalog. At this width BLAS rounds
+        # `reference_train`'s X W apart from the stack's W^T X^T, so each fold
+        # is checked against training it alone, which must agree bit for bit.
+        bundle = gen_bipartite_er(seed=0)
+        m = embed(bundle, "trees:8")
+        values = apply_standardizer(m, fit_standardizer(m)).values
+        folds = [train for train, _ in stratified_kfold(bundle.labels, k=10, seed=0)[:4]]
+        x, y = values[folds], np.asarray(bundle.labels)[folds]
+        assert x.shape == (4, 180, 47)
+        hyper = Hyper(epochs=50)
+        w, b, _, _ = _train_stack(x, y, 2, hyper)
+        for i in range(len(x)):
+            model = train_classifier(x[i], y[i], 2, hyper)
+            assert np.array_equal(w[i], model.weights) and np.array_equal(b[i], model.bias), i
 
     def test_early_stop_leaves_the_stack(self):
         rng = np.random.default_rng(0)

@@ -244,6 +244,25 @@ class TestTreewidthAlgorithm:
             w = [float(rng.randint(0, 2)) for _ in range(5)]
             assert hom_treedec(f, td, g, weights=w).value == hom_brute(f, g, weights=w).value
 
+    def test_real_weights_against_brute(self):
+        # Weights uniform in [-1, 2] make every sum inexact, so the two
+        # engines agree only up to rounding: within 1e-12 of the count under
+        # the absolute weights, which bounds the sum of the terms' sizes.
+        rng = random.Random(41)
+        for trial in range(24):
+            if trial % 2:
+                a = rng.randint(1, 4)
+                f = disjoint_union(random_connected_graph(rng, a, 0.6),
+                                   random_connected_graph(rng, rng.randint(1, 6 - a), 0.6))
+            else:
+                f = random_connected_graph(rng, rng.randint(2, 6), 0.6)
+            td = nice_decomposition(custom_pattern(f))
+            g = random_simple_graph(rng, rng.randint(4, 7), 0.5)
+            w = [rng.uniform(-1.0, 2.0) for _ in range(g.num_vertices)]
+            got = hom_treedec(f, td, g, weights=w).value
+            scale = hom_brute(f, g, weights=[abs(x) for x in w]).value
+            assert abs(got - hom_brute(f, g, weights=w).value) <= 1e-12 * scale, f
+
     def test_mismatched_decomposition_rejected(self):
         td = nice_decomposition(custom_pattern(cycle_graph(4)))
         with pytest.raises(ValueError):

@@ -234,14 +234,47 @@ class TestNiceDecomposition:
     def test_validator_catches_missing_edge(self):
         g = Graph(2, [(0, 1)])
         td = TreeDecomposition(
-            tree=Graph(2, [(0, 1)]),
             bags=(frozenset({0}), frozenset({1})),
-            width=0,
-            root=1,
+            children=((), (0,)),
             node_kind=("leaf", "leaf"),
+            width=0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge"):
             validate_decomposition(td, g)
+
+    @staticmethod
+    def one_vertex(*bags, children=None):
+        """A decomposition of the one-vertex graph over `bags`: a leaf, then
+        each node introducing or forgetting vertex 0 from the one below it."""
+        kinds = ["leaf"] + ["introduce" if bag else "forget" for bag in bags[1:]]
+        if children is None:
+            children = [()] + [(t - 1,) for t in range(1, len(bags))]
+        width = max(len(b) for b in bags) - 1
+        return TreeDecomposition(tuple(map(frozenset, bags)), tuple(children), tuple(kinds), width)
+
+    def test_one_vertex_path_is_valid(self):
+        validate_decomposition(self.one_vertex(set(), {0}, set()), Graph(1))
+
+    @pytest.mark.parametrize(
+        "children, match",
+        [
+            (((), (0,)), "align"),  # three bags and node kinds, two child lists
+            (((1,), (), (1,)), "numbered below"),  # node 1 is node 0's child
+            (((), (0,), (0, 1)), "two parents"),  # node 0 under nodes 1 and 2
+            (((), (0,), ()), "no parent"),  # node 1 is not the last, yet on top
+            (((), (), (1, 0)), "ascending"),  # node 2 lists its children as 1, 0
+        ],
+    )
+    def test_validator_catches_bad_numbering(self, children, match):
+        td = self.one_vertex(set(), {0}, set(), children=children)
+        with pytest.raises(ValueError, match=match):
+            validate_decomposition(td, Graph(1))
+
+    def test_validator_catches_split_vertex(self):
+        # vertex 0 is introduced, forgotten, then introduced again: two tops
+        td = self.one_vertex(set(), {0}, set(), {0}, set())
+        with pytest.raises(ValueError, match="vertex 0 are not connected"):
+            validate_decomposition(td, Graph(1))
 
     def test_disconnected_pattern(self):
         g = Graph(4, [(0, 1), (2, 3)])
