@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        datasets.write_output(out, text + "\n")
     print(text)
 
 
@@ -185,7 +185,7 @@ def _cmd_gen(args) -> int:
     datasets.write_tud(bundle, out)
     config = {"config": vars(args) | {"command": "gen"}, "provenance": bundle.provenance}
     config["config"].pop("out", None)
-    (out / f"{bundle.name}_config.json").write_text(json.dumps(config, indent=2) + "\n")
+    datasets.write_output(out / f"{bundle.name}_config.json", json.dumps(config, indent=2) + "\n")
     print(f"wrote {len(bundle.graphs)} graphs ({bundle.num_classes} classes) to {out}")
     return 0
 
@@ -235,7 +235,7 @@ def _cmd_cv(args) -> int:
         _emit(timing, args.out)
         return 0
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        datasets.write_output(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     print(
         f"{bundle.name} {args.family}: mean={report.mean:.4f} std={report.stddev:.4f} "
         f"(k={args.k}, repeats={args.repeats}, seed={args.seed})"

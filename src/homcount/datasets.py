@@ -9,7 +9,9 @@ deterministic functions of their parameters and seed.
 
 from __future__ import annotations
 
+import os
 import random
+import stat
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -57,6 +59,24 @@ def validate_bundle(bundle: DatasetBundle) -> None:
         classes = sorted(set(bundle.labels))
         if classes != list(range(len(classes))):
             raise ValueError("labels must form a contiguous 0-based range")
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write `text` to `path`, the one way homcount writes a file.
+
+    A regular file already at `path` is unlinked and a new one written:
+    truncating a recently written file in place can wait on its writeback
+    (ext4's `auto_da_alloc`), and a hard link to the old file keeps the old
+    contents. Anything else, such as a symlink, a FIFO or `/dev/stdout`, is
+    written through. The write is not crash-atomic.
+    """
+    path = Path(path)
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            path.unlink()
+    except FileNotFoundError:
+        pass
+    path.write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +212,9 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
 
 def write_tud(bundle: DatasetBundle, directory: str | Path) -> None:
     """Emit a bundle in TU format. One-hot feature rows are written back as
-    node labels so that a round trip reproduces them exactly."""
+    node labels so that a round trip reproduces them exactly; other features
+    go to node attributes. Files from an earlier bundle of the same name are
+    replaced (`write_output`), and the optional file not written is removed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = bundle.name
@@ -205,11 +227,13 @@ def write_tud(bundle: DatasetBundle, directory: str | Path) -> None:
             a_lines.append(f"{offset + u + 1}, {offset + v + 1}")
             a_lines.append(f"{offset + v + 1}, {offset + u + 1}")
         offset += g.num_vertices
-    (directory / f"{name}_A.txt").write_text("\n".join(a_lines) + "\n")
-    (directory / f"{name}_graph_indicator.txt").write_text("\n".join(ind_lines) + "\n")
-    (directory / f"{name}_graph_labels.txt").write_text(
-        "\n".join(str(lab) for lab in bundle.labels) + "\n"
+    write_output(directory / f"{name}_A.txt", "\n".join(a_lines) + "\n")
+    write_output(directory / f"{name}_graph_indicator.txt", "\n".join(ind_lines) + "\n")
+    write_output(
+        directory / f"{name}_graph_labels.txt",
+        "\n".join(str(lab) for lab in bundle.labels) + "\n",
     )
+    optional = {"labels": None, "attributes": None}
     if bundle.features is not None:
         stacked = np.vstack(bundle.features) if bundle.features else np.zeros((0, 0))
         is_onehot = (
@@ -218,11 +242,15 @@ def write_tud(bundle: DatasetBundle, directory: str | Path) -> None:
             and np.all(stacked.sum(axis=1) == 1.0)
         )
         if is_onehot:
-            lines = [str(int(row.argmax())) for row in stacked]
-            (directory / f"{name}_node_labels.txt").write_text("\n".join(lines) + "\n")
+            optional["labels"] = [str(int(row.argmax())) for row in stacked]
         else:
-            lines = [",".join(repr(x) for x in row) for row in stacked]
-            (directory / f"{name}_node_attributes.txt").write_text("\n".join(lines) + "\n")
+            optional["attributes"] = [",".join(repr(float(x)) for x in row) for row in stacked]
+    for kind, lines in optional.items():
+        path = directory / f"{name}_node_{kind}.txt"
+        if lines is None:
+            path.unlink(missing_ok=True)
+        else:
+            write_output(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .datasets import DatasetBundle
+from .datasets import DatasetBundle, write_output
 from .graphs import FeaturedGraph
-from .hom import PhiFunction, _count_row, _to_density
+from .hom import PhiFunction, _classify, _count_row, _to_density
 from .patterns import Pattern, resolve_family
 
 
@@ -86,13 +86,14 @@ def embed(
             FeaturedGraph.unchecked(g, f) for g, f in zip(bundle.graphs, bundle.features)
         ]
 
+    catalog = _classify(patterns)
     columns = [(pi, phi) for pi in range(len(patterns)) for phi in phis]
     values = np.zeros((len(targets), len(columns)), dtype=np.float64)
     promoted = [False] * len(columns)
 
     for i, target in enumerate(targets):
         for q, phi in enumerate(phis):
-            for pi, hv in enumerate(_count_row(patterns, target, phi)):
+            for pi, hv in enumerate(_count_row(catalog, target, phi)):
                 j = pi * len(phis) + q
                 cell = float(hv)
                 if density:
@@ -157,14 +158,13 @@ def write_embedding_csv(
     header = ["graph_id", "label"] + column_names(m)
     lines = [",".join(header)]
     for i in range(m.values.shape[0]):
-        row = [str(i), str(bundle.labels[i])] + [repr(x) for x in m.values[i]]
+        row = [str(i), str(bundle.labels[i])] + [repr(float(x)) for x in m.values[i]]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    write_output(path, "\n".join(lines) + "\n")
     sidecar = {
         "dataset": bundle.name,
         "columns": [asdict(c) for c in m.column_meta],
         "config": config or {},
     }
-    path.with_suffix(path.suffix + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2) + "\n"
-    )
+    sidecar_path = path.with_suffix(path.suffix + ".meta.json")
+    write_output(sidecar_path, json.dumps(sidecar, indent=2) + "\n")

@@ -165,6 +165,11 @@ def hom_tree(
     fg = _pattern_graph(f)
     if not _is_tree(fg):
         raise ValueError("hom_tree requires a tree pattern")
+    return _tree_dp(fg, g, weights)
+
+
+def _tree_dp(fg: Graph, g: Graph, weights: Optional[Sequence[float]]) -> HomValue:
+    """`hom_tree`'s dynamic program, for a pattern known to be a tree."""
     ng = g.num_vertices
     exact = weights is None
     base = [1] * ng if exact else list(weights)
@@ -237,6 +242,14 @@ def hom_treedec(
     """
     fg = _pattern_graph(f)
     validate_decomposition(td, fg)
+    return _treedec_dp(fg, td, g, weights)
+
+
+def _treedec_dp(
+    fg: Graph, td: TreeDecomposition, g: Graph, weights: Optional[Sequence[float]]
+) -> HomValue:
+    """`hom_treedec`'s dynamic program, for a decomposition known to be
+    valid for `fg`, as every one `nice_decomposition` returns is."""
     ng = g.num_vertices
     exact = weights is None
     w = [1] * ng if exact else list(weights)
@@ -301,34 +314,51 @@ def hom_treedec(
 # dispatch, densities, vectors
 
 
+_Catalog = list[tuple[Graph, str, Pattern]]
+
+
+def _classify(patterns: Sequence[Union[Pattern, Graph]]) -> _Catalog:
+    """Each pattern's graph, its kernel ("cycle", "tree" or "treedec") and
+    the `Pattern` that keys its nice decomposition. This is the per-pattern
+    part of `_count_row`, done once per catalog rather than once per row.
+    Cycles are recognized by their graph, not by their family name."""
+    catalog = []
+    for f in patterns:
+        fg = _pattern_graph(f)
+        kind = "cycle" if _is_cycle(fg) else "tree" if _is_tree(fg) else "treedec"
+        pattern = f if isinstance(f, Pattern) else Pattern(fg, "custom", fg.num_vertices, "")
+        catalog.append((fg, kind, pattern))
+    return catalog
+
+
 def _count_row(
-    patterns: Sequence[Union[Pattern, Graph]],
+    catalog: _Catalog,
     g: Union[Graph, FeaturedGraph],
     phi: Optional[PhiFunction] = None,
 ) -> list[HomValue]:
-    """hom(F, G) for each F in `patterns`, the one dispatcher behind `hom`,
-    `hom_vector` and `embed`, and the only place an encoder becomes vertex
-    weights, once for the row. Trees go to `hom_tree`, unweighted cycles
-    (recognized by their graph) to one shared chain of adjacency powers,
-    everything else to `hom_treedec`."""
+    """hom(F, G) for each F in a `_classify`d catalog, the one dispatcher
+    behind `hom`, `hom_vector` and `embed`, and the only place an encoder
+    becomes vertex weights, once for the row. Trees go to the tree DP,
+    unweighted cycles to one shared chain of adjacency powers, everything
+    else to the decomposition DP. Neither DP re-checks its pattern: the
+    catalog has classified it, and `nice_decomposition` validates each
+    decomposition once, when it builds it."""
     graph = g.graph if isinstance(g, FeaturedGraph) else g
     weights = None  # exact: every vertex weighs one
     if phi is not None and phi.kind != "constant_one":
         x = g.features if isinstance(g, FeaturedGraph) else np.zeros((graph.num_vertices, 0))
         weights = [phi(row) for row in x]
-    fgs = [_pattern_graph(f) for f in patterns]
-    cycles = [weights is None and _is_cycle(fg) for fg in fgs]
-    longest = max((fg.num_vertices for fg, c in zip(fgs, cycles) if c), default=0)
-    traces = _walk_traces(graph, longest) if longest else []
+    chain = weights is None
+    longest = max((fg.num_vertices for fg, kind, _ in catalog if kind == "cycle"), default=0)
+    traces = _walk_traces(graph, longest) if chain and longest else []
     row = []
-    for f, fg, cycle in zip(patterns, fgs, cycles):
-        if cycle:
+    for fg, kind, pattern in catalog:
+        if kind == "cycle" and chain:
             row.append(_finish(traces[fg.num_vertices], True))
-        elif _is_tree(fg):
-            row.append(hom_tree(fg, graph, weights=weights))
+        elif kind == "tree":
+            row.append(_tree_dp(fg, graph, weights))
         else:
-            pattern = f if isinstance(f, Pattern) else Pattern(fg, "custom", fg.num_vertices, "")
-            row.append(hom_treedec(fg, nice_decomposition(pattern), graph, weights=weights))
+            row.append(_treedec_dp(fg, nice_decomposition(pattern), graph, weights))
     return row
 
 
@@ -338,7 +368,7 @@ def hom(
     phi: Optional[PhiFunction] = None,
 ) -> HomValue:
     """Compute hom(F, G) by the cheapest applicable algorithm; F may be a bare graph."""
-    return _count_row([f], g, phi)[0]
+    return _count_row(_classify([f]), g, phi)[0]
 
 
 def _to_density(count: float, f: Graph, g: Graph) -> float:
@@ -373,7 +403,7 @@ def hom_vector(
 ) -> np.ndarray:
     """One coordinate per pattern, in catalog order."""
     graph = g.graph if isinstance(g, FeaturedGraph) else g
-    row = [float(hv) for hv in _count_row(patterns, g, phi)]
+    row = [float(hv) for hv in _count_row(_classify(patterns), g, phi)]
     if density:
         row = [_to_density(v, _pattern_graph(f), graph) for v, f in zip(row, patterns)]
     return np.array(row, dtype=np.float64)

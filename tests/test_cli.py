@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -177,6 +178,59 @@ class TestBenchCommand:
         report = cross_validate(gen_csl(seed=0), "cycles:8", k=5, seed=0, repeats=1)
         assert payload["dataset"] == "CSL" and payload["num_graphs"] == 150
         assert payload["mean_accuracy"] == report.mean
+
+
+class TestArtifacts:
+    def _run_all(self, tmp_path):
+        data = tmp_path / "d"
+        cv = ["--dataset", str(data), "--family", "cycles:4", "--k", "2", "--epochs", "5"]
+        runs = [
+            ["gen", "csl", "--out", str(data), "--num-vertices", "11", "--skips", "2,3",
+             "--copies-per-class", "2"],
+            ["embed", "--out", str(tmp_path / "emb.csv"), *cv[:4]],
+            ["eval", "--out", str(tmp_path / "eval.json"), "--repeats", "1", *cv],
+            ["bench", "--out", str(tmp_path / "bench.json"), *cv],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv
+
+    def test_reruns_replace_every_artifact(self, tmp_path, capsys):
+        self._run_all(tmp_path)
+        artifacts = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert [p.name for p in artifacts] == [
+            "bench.json", "CSL_A.txt", "CSL_config.json", "CSL_graph_indicator.txt",
+            "CSL_graph_labels.txt", "emb.csv", "emb.csv.meta.json", "eval.json",
+        ]
+        before = {p: p.read_text() for p in artifacts}
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for i, p in enumerate(artifacts):
+            os.link(p, kept / str(i))
+        self._run_all(tmp_path)
+        for i, p in enumerate(artifacts):
+            text = p.read_text()
+            assert "np." not in text, p
+            if p.suffix == ".json":
+                json.loads(text)
+            elif p.suffix == ".csv":
+                for line in text.splitlines()[1:]:
+                    [float(cell) for cell in line.split(",")[2:]]  # ValueError if not
+            # the old inode keeps the first run's text: replaced, not truncated
+            assert (kept / str(i)).read_text() == before[p], p
+            assert not os.path.samefile(p, kept / str(i)), p
+
+    def test_symlinked_out_is_written_through(self, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_text("stale\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code = main([
+            "eval", "--generate", "csl", "--family", "cycles:4", "--k", "2",
+            "--repeats", "1", "--epochs", "5", "--out", str(link),
+        ])
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["config"]["family"] == "cycles:4"
 
 
 class TestExitCodes:

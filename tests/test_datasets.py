@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from homcount.datasets import (
     gen_csl,
     load_paulus,
     parse_tud,
+    write_output,
     write_tud,
 )
 from homcount.graphs import Graph, degree_sequence, is_bipartite
@@ -195,6 +198,59 @@ class TestRoundTrip:
         assert again.graphs == bundle.graphs
         assert again.labels == bundle.labels
         assert again.features is None
+
+    def test_attributed_roundtrip_is_bit_exact(self, tmp_path):
+        graphs = [Graph(3, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])]
+        stacked = np.random.default_rng(3).random((7, 3))
+        # Every column spans exactly [0, 1], so parse_tud's min-max scaling
+        # is the identity and the parsed values must be the written ones.
+        stacked[0], stacked[1] = 0.0, 1.0
+        bundle = DatasetBundle("ATTR", graphs, [0, 1], [stacked[:3], stacked[3:]])
+        write_tud(bundle, tmp_path)
+        assert "np." not in (tmp_path / "ATTR_node_attributes.txt").read_text()
+        again = parse_tud(tmp_path, "ATTR")
+        assert again.graphs == graphs and again.labels == [0, 1]
+        for a, b in zip(again.features, bundle.features):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_rewrites_under_one_name_parse_back_as_written(self, tmp_path):
+        graphs = [Graph(3, [(0, 1), (1, 2)]), Graph(2, [(0, 1)])]
+        onehot = [np.eye(2)[[0, 1, 0]], np.eye(2)[[1, 1]]]
+        attributed = [
+            np.array([[0.0, 0.25], [1.0, 1.0], [0.5, 0.0]]),
+            np.array([[0.125, 0.5], [0.75, 0.375]]),
+        ]
+        for features in (onehot, None, attributed, onehot):
+            write_tud(DatasetBundle("X", graphs, [0, 1], features), tmp_path)
+            again = parse_tud(tmp_path, "X")
+            assert again.graphs == graphs and again.labels == [0, 1]
+            if features is None:
+                assert again.features is None
+            else:
+                assert [f.tolist() for f in again.features] == [f.tolist() for f in features]
+            assert len(list(tmp_path.glob("X_node_*.txt"))) == (features is not None)
+
+
+class TestWriteOutput:
+    def test_regular_file_is_replaced_not_truncated(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_output(path, "old\n")
+        os.link(path, tmp_path / "kept.txt")
+        write_output(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert (tmp_path / "kept.txt").read_text() == "old\n"
+        assert not os.path.samefile(path, tmp_path / "kept.txt")
+
+    def test_fifo_is_written_through(self, tmp_path):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_output(path, "through\n")
+            assert os.read(reader, 64) == b"through\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
 
 
 class TestCSL:

@@ -159,6 +159,17 @@ class TestCsvOutput:
         assert len(sidecar["columns"]) == 7
         assert len(column_names(m)) == 7
 
+    def test_cells_read_back_exactly(self, tmp_path):
+        bundle = small_bundle()
+        m = embed(bundle, "trees:5", density=True)  # fractional cells
+        out = tmp_path / "emb.csv"
+        write_embedding_csv(m, bundle, out)
+        text = out.read_text()
+        assert "np." not in text
+        rows = [line.split(",")[2:] for line in text.splitlines()[1:]]
+        cells = np.array([[float(cell) for cell in row] for row in rows])
+        assert cells.tobytes() == m.values.tobytes()
+
 
 def _meta(d):
     from homcount.embedding import ColumnMeta

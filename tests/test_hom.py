@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -427,6 +429,27 @@ class TestRowEngine:
         cells = m.values[0].reshape(len(ROW_PATTERNS), len(encoders))
         for q, phi in enumerate(encoders):
             assert cells[:, q].tolist() == expected[phi][: len(ROW_PATTERNS)]
+
+    def test_embed_classifies_the_catalog_once(self, monkeypatch):
+        patterns = enumerate_cycles(6) + enumerate_trees(5) + [custom_pattern(k(4))]
+        non_cycles = sum(1 for p in patterns if p.family != "cycle" or p.size < 3)
+        hom_module = sys.modules["homcount.hom"]  # `homcount.hom` is the function
+        calls = collections.Counter()
+        for name in ("_is_cycle", "_is_tree", "validate_decomposition"):
+            original = getattr(hom_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(hom_module, name, counted)
+        rng = random.Random(4)
+        graphs = [random_connected_graph(rng, n, 0.5) for n in (5, 6, 7)]
+        features = [np.eye(2)[[v % 2 for v in range(g.num_vertices)]] for g in graphs]
+        m = embed(DatasetBundle("three", graphs, [0, 1, 0], features), patterns)
+        assert m.values.shape == (3, 3 * len(patterns))
+        # 9 rows, yet one classification per pattern and no re-validation
+        assert calls == {"_is_cycle": len(patterns), "_is_tree": non_cycles}
 
 
 class TestDisjointUnionMultiplicativity:
