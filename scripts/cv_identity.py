@@ -21,10 +21,15 @@ Two more lines give column 4 for the labeled graphs of perfbench's
 `labeled-embed` workload (`gen_labeled(0, 100)` with cycles:6 and trees:6
 under the default encoders), with "-" in the CV columns. One-hot label
 weights keep every weighted sum an integer, so those lines cannot see a
-change in summation order. The last two lines therefore embed
+change in summation order. The next two lines therefore embed
 `gen_labeled(0, 30)` under one affine encoder with non-integer weights,
 once with cycles:6 and once with the custom non-tree patterns K4, the
 diamond, the bowtie and the banner.
+
+The last line gives column 4 for 20 seeded dense graphs, G(n, 0.9) with
+n from 40 to 60, under cycles:14. Every one of their chains of adjacency
+powers passes both the 2**53 and the 2**62 bound before A^14, which no
+other line reaches.
 
 Two commits give the same embeddings, fold results and weights exactly
 when the first six columns match:
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -48,7 +54,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from homcount import embedding, evaluate  # noqa: E402
-from homcount.datasets import gen_bipartite_er, gen_csl, load_paulus  # noqa: E402
+from homcount.datasets import DatasetBundle, gen_bipartite_er, gen_csl, load_paulus  # noqa: E402
 from homcount.graphs import Graph  # noqa: E402
 from homcount.hom import PhiFunction  # noqa: E402
 from homcount.patterns import custom_pattern  # noqa: E402
@@ -74,6 +80,16 @@ NON_TREES = {
     "bowtie": Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
     "banner": Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)]),
 }
+
+
+def dense_graphs(seed: int = 0, count: int = 20) -> DatasetBundle:
+    """`count` graphs G(n, 0.9), n drawn from 40..60."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(40, 60)
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9]))
+    return DatasetBundle("dense", graphs, [0] * count)
 
 
 def fingerprint(report: evaluate.CVReport) -> str:
@@ -136,6 +152,8 @@ def main() -> None:
     for name, family in real_families.items():
         digest = embedding_digest(small, family, phi_set=[AFFINE])
         print("\t".join([f"labeled-affine/{name}", "-", "-", digest, "-", "-"]), flush=True)
+    digest = embedding_digest(dense_graphs(), "cycles:14")
+    print("\t".join(["dense/cycles:14", "-", "-", digest, "-", "-"]), flush=True)
 
 
 if __name__ == "__main__":
