@@ -53,10 +53,11 @@ class Graph:
                     yield (u, v)
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
-        for u in range(self.num_vertices):
-            for v in self.adjacency[u]:
-                a[u, v] = 1
+        n = self.num_vertices
+        a = np.zeros((n, n), dtype=np.int64)
+        arcs = [(u, v) for u in range(n) for v in self.adjacency[u]]  # both directions
+        u, v = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
+        a[u, v] = 1
         return a
 
     def __eq__(self, other) -> bool:

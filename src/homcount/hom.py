@@ -196,16 +196,30 @@ def _tree_dp(fg: Graph, g: Graph, weights: Optional[Sequence[float]]) -> HomValu
 
 def _walk_traces(g: Graph, k: int) -> list[int]:
     """Exact traces of A^0..A^k (closed walks of each length up to k), from
-    one chain of products A^2, A^3, ..., A^k; k >= 1."""
+    one chain of products A^2, A^3, ..., A^k; k >= 1.
+
+    Each product P·A runs in the narrowest dtype its bound proves exact:
+    float64 while max(P)·Δ < 2**53 (Δ the maximum degree), then int64
+    while it is below 2**62, then Python ints. Every entry is a non-negative
+    integer, so each partial sum of (P·A)_ik, in any order, is at most the
+    final entry, which is at most max(P)·Δ. Below 2**53 every product and
+    partial sum of a classical matrix product is therefore an exact double,
+    whatever summation order, blocking or FMA BLAS uses. A chain that passes
+    both bounds at once goes through int64, so its objects are ints.
+    """
     a = g.adjacency_matrix()
     max_degree = max(1, int(a.sum(axis=1).max(initial=0)))  # initial: n may be 0
     traces = [g.num_vertices, 0]  # no self-loops
-    p = a
+    p = a = a.astype(np.float64)
     for _ in range(k - 1):
-        if p.dtype != object and int(p.max(initial=0)) * max_degree >= (1 << 62):
-            p, a = p.astype(object), a.astype(object)  # Python ints from here on
+        if p.dtype != object:
+            bound = int(p.max(initial=0)) * max_degree
+            if bound >= 1 << 53 and p.dtype == np.float64:
+                p, a = p.astype(np.int64), a.astype(np.int64)
+            if bound >= 1 << 62:
+                p, a = p.astype(object), a.astype(object)  # Python ints from here on
         p = p @ a
-        # Each diagonal entry fits int64 but their sum need not: add as Python ints.
+        # Each diagonal entry fits its dtype but their sum need not: add as Python ints.
         traces.append(sum(map(int, p.diagonal())))
     return traces
 

@@ -14,6 +14,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .graphs import Graph, rooted_order
 
 MAX_TREE_CATALOG_SIZE = 12
@@ -117,27 +119,26 @@ def canonical_adjacency_code(g: Graph) -> str:
     a color-refinement signature instead, which is isomorphism-invariant but
     may collide for refinement-equivalent non-isomorphic graphs. The search
     puts a minimum-degree vertex first and its d neighbors last: only that
-    gives the smallest possible first row, 0^(n-1-d) 1^d.
+    gives the smallest possible first row, 0^(n-1-d) 1^d. It gathers every
+    candidate's upper-triangle bits at once and keeps the row that is least
+    as a binary number: bitstrings of one length order as their integers do.
     """
     n = g.num_vertices
+    if n == 0:
+        return "g0:"
     if n <= 8:
-        best: Optional[str] = None
-        delta = min((g.degree(v) for v in range(n)), default=0)
-        perms = (
+        delta = min(g.degree(v) for v in range(n))
+        perms = np.array([
             (first, *middle, *tail)
             for first in range(n) if g.degree(first) == delta
             for middle in itertools.permutations(set(range(n)) - {first} - g.neighbor_sets[first])
             for tail in itertools.permutations(g.adjacency[first])
-        )
-        for perm in perms:
-            bits = []
-            for i in range(n):
-                row = ["1" if g.has_edge(perm[i], perm[j]) else "0" for j in range(i + 1, n)]
-                bits.append("".join(row))
-            s = "".join(bits)
-            if best is None or s < best:
-                best = s
-        return f"g{n}:{best or ''}"
+        ])
+        i, j = np.triu_indices(n, 1)  # row-major, as the bitstring reads
+        bits = g.adjacency_matrix()[perms[:, i], perms[:, j]]
+        place = 1 << np.arange(len(i))[::-1]  # the first bit is the most significant
+        best = bits[np.argmin(bits @ place)]
+        return f"g{n}:" + "".join(map(str, best))
     hist: dict[str, int] = {}
     for c in _wl_colors(g):
         hist[c] = hist.get(c, 0) + 1

@@ -52,6 +52,21 @@ class TestBuild:
         assert g.num_edges * 2 == sum(len(a) for a in g.adjacency)
 
 
+class TestAdjacencyMatrix:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_loop(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 12) if seed else 0
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        loop = np.zeros((n, n), dtype=np.int64)
+        for u in range(n):
+            for v in g.adjacency[u]:
+                loop[u, v] = 1
+        a = g.adjacency_matrix()
+        assert a.dtype == np.int64 and a.shape == (n, n)
+        assert np.array_equal(a, loop)
+
+
 class TestPermute:
     def test_complete_graph_fixed(self):
         assert permute(triangle(), [2, 0, 1]) == triangle()

@@ -14,7 +14,9 @@ from homcount.embedding import embed
 from homcount.graphs import FeaturedGraph, Graph, disjoint_union, is_bipartite, permute
 from homcount.hom import (
     EXACT_LIMIT,
+    HomValue,
     PhiFunction,
+    _walk_traces,
     hom,
     hom_brute,
     hom_cycle,
@@ -202,6 +204,59 @@ class TestCycleAlgorithm:
             assert hv.promoted and hv.value == float(traces[length])
         vec = hom_vector(enumerate_cycles(length), g)
         assert vec.tolist() == [float(t) for t in traces[2:]]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_traces_across_the_float64_switch(self, data):
+        # Dense graphs and lengths whose chain of powers passes the float64
+        # bound test, max(A^j) * max degree >= 2**53, but not the int64 one
+        # before A^length.
+        n = data.draw(st.integers(8, 12), label="n")
+        pairs = list(itertools.combinations(range(n), 2))
+        missing = data.draw(st.sets(st.sampled_from(pairs), max_size=n), label="missing edges")
+        g = Graph(n, [e for e in pairs if e not in missing])
+        a = [[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)]
+        degree = max(1, max(map(sum, a)))
+        powers = [[[int(u == v) for v in range(n)] for u in range(n)], a]  # A^0, A^1: Python ints
+
+        def extend(j):
+            while len(powers) <= j:
+                powers.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*a)]
+                               for row in powers[-1]])
+            return powers[j]
+
+        def switch(bound):
+            return next(j for j in range(1, 40) if max(map(max, extend(j))) * degree >= bound)
+
+        length = data.draw(st.integers(switch(1 << 53) + 1, switch(1 << 62)), label="length")
+        traces = [sum(extend(j)[i][i] for i in range(n)) for j in range(length + 1)]
+        assert _walk_traces(g, length) == traces
+        hv = hom_cycle(length, g)
+        assert hv.mode == "exact" and hv.value == traces[length]
+
+    @pytest.mark.parametrize("n", [9, 30])
+    @pytest.mark.parametrize("rungs", [0, 1, 2])
+    def test_complete_graph_chains_on_each_rung(self, n, rungs):
+        # K_n's chain stays in float64 up to A^s53, crosses only the float64
+        # rung up to A^s62, and crosses both rungs past it, where s53 and s62
+        # are the first powers whose bound test passes 2**53 and 2**62.
+        def closed_walks(kk):
+            return (n - 1) ** kk + (n - 1) * (-1) ** kk
+
+        def max_entry(j):  # diagonal and off-diagonal entries of A^j
+            return max(closed_walks(j) // n, ((n - 1) ** j - (-1) ** j) // n)
+
+        def switch(bound):
+            return next(j for j in range(1, 80) if max_entry(j) * (n - 1) >= bound)
+
+        length = [switch(1 << 53), switch(1 << 62), switch(1 << 62) + 1][rungs]
+        assert _walk_traces(k(n), length) == [closed_walks(kk) for kk in range(length + 1)]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_cycles_on_tiny_targets(self, n):
+        assert _walk_traces(Graph(n), 8) == [n] + [0] * 8
+        assert hom_vector(enumerate_cycles(8), Graph(n)).tolist() == [0.0] * 7
+        assert all(hom_cycle(kk, Graph(n)) == HomValue(0, "exact") for kk in range(2, 9))
 
     def test_promotion_beyond_128_bits(self):
         hv = hom_cycle(40, k(20))

@@ -129,6 +129,13 @@ class TestCanonicalCodes:
         for g in graphs + [cycle_graph(k) for k in range(3, 9)]:
             assert canonical_adjacency_code(g) == reference_adjacency_code(g)
 
+    def test_adjacency_code_equals_full_search_on_seven_and_eight_vertices(self):
+        rng = random.Random(37)
+        graphs = [random_simple_graph(rng, 7, rng.random()) for _ in range(20)]
+        cube = Graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+        for g in graphs + [cube]:
+            assert canonical_adjacency_code(g) == reference_adjacency_code(g)
+
 
 def reference_adjacency_code(g: Graph) -> str:
     """Oracle: the minimum adjacency bitstring over all n! relabelings."""
