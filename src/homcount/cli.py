@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("kind", choices=["csl", "bipartite", "paulus"])
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--copies-per-class", type=int, default=15)
+    p_gen.add_argument("--copies-per-class", type=int, default=15, help="csl and paulus only")
     p_gen.add_argument("--num-vertices", type=int, default=41, help="csl only")
     p_gen.add_argument("--skips", default=None, help="csl only, comma-separated")
     p_gen.add_argument("--total", type=int, default=200, help="bipartite only")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import DatasetBundle, write_output
 from .graphs import FeaturedGraph
-from .hom import PhiFunction, _classify, _count_row, _to_density
+from .hom import PhiFunction, _as_float, _classify, _count_row, _to_density
 from .patterns import Pattern, resolve_family
 
 
@@ -29,7 +29,7 @@ class ColumnMeta:
     canonical_code: str
     phi: str
     density: bool
-    promoted: bool
+    promoted: bool  # float64 rounded some cell's exact count
 
 
 @dataclass
@@ -93,12 +93,12 @@ def embed(
 
     for i, target in enumerate(targets):
         for q, phi in enumerate(phis):
-            for pi, hv in enumerate(_count_row(catalog, target, phi)):
+            for pi, total in enumerate(_count_row(catalog, target, phi)[0]):
                 j = pi * len(phis) + q
-                cell = float(hv)
+                cell = _as_float(total)
+                promoted[j] = promoted[j] or cell != total  # on the count, not the density
                 if density:
                     cell = _to_density(cell, patterns[pi].graph, bundle.graphs[i])
-                promoted[j] = promoted[j] or hv.promoted
                 values[i, j] = cell
 
     if log1p:

@@ -11,8 +11,9 @@ weights; without one, every vertex weighs one and the count is exact. Only
 the row engine behind `hom`, `hom_vector` and `embed` turns an encoder into
 weights.
 
-Unweighted counts are exact integers; values at or above 2**128 are demoted
-to floats and flagged. Weighted values are double precision throughout.
+Unweighted counts are exact ints (flagged floats from 2**128), weighted ones
+doubles. Only `_as_float` makes a count a double; it raises ValueError past
+the float64 range. `embed` flags each column where float64 rounded a count.
 """
 
 from __future__ import annotations
@@ -96,14 +97,23 @@ class HomValue:
         return float(self.value)
 
 
+def _as_float(total: Union[int, float]) -> float:
+    """A count as a double, or ValueError past the float64 range."""
+    try:
+        value = float(total)
+    except OverflowError:  # an int that rounds to 2**1024 or more
+        value = math.inf
+    if math.isfinite(value):  # a weighted sum may have overflowed to inf or NaN
+        return value
+    raise ValueError("homomorphism count exceeds the float64 range")
+
+
 def _finish(total: Union[int, float], exact: bool) -> HomValue:
     """A kernel's sum as a HomValue: weighted sums are real, and exact ones
     at or above EXACT_LIMIT are demoted to a flagged float."""
-    if not exact:
-        return HomValue(float(total), "real")
-    if total >= EXACT_LIMIT:
-        return HomValue(float(total), "real", promoted=True)
-    return HomValue(total, "exact")
+    if exact and total < EXACT_LIMIT:
+        return HomValue(total, "exact")
+    return HomValue(_as_float(total), "real", promoted=exact)
 
 
 def _pattern_graph(f: Union[Pattern, Graph]) -> Graph:
@@ -165,10 +175,10 @@ def hom_tree(
     fg = _pattern_graph(f)
     if not _is_tree(fg):
         raise ValueError("hom_tree requires a tree pattern")
-    return _tree_dp(fg, g, weights)
+    return _finish(_tree_dp(fg, g, weights), weights is None)
 
 
-def _tree_dp(fg: Graph, g: Graph, weights: Optional[Sequence[float]]) -> HomValue:
+def _tree_dp(fg: Graph, g: Graph, weights: Optional[Sequence[float]]) -> Union[int, float]:
     """`hom_tree`'s dynamic program, for a pattern known to be a tree."""
     ng = g.num_vertices
     exact = weights is None
@@ -187,7 +197,7 @@ def _tree_dp(fg: Graph, g: Graph, weights: Optional[Sequence[float]]) -> HomValu
                     s += child[h]
                 vec[gv] *= s
         table[v] = vec
-    return _finish(sum(table[0]), exact)
+    return sum(table[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +266,12 @@ def hom_treedec(
     """
     fg = _pattern_graph(f)
     validate_decomposition(td, fg)
-    return _treedec_dp(fg, td, g, weights)
+    return _finish(_treedec_dp(fg, td, g, weights), weights is None)
 
 
 def _treedec_dp(
     fg: Graph, td: TreeDecomposition, g: Graph, weights: Optional[Sequence[float]]
-) -> HomValue:
+) -> Union[int, float]:
     """`hom_treedec`'s dynamic program, for a decomposition known to be
     valid for `fg`, as every one `nice_decomposition` returns is."""
     ng = g.num_vertices
@@ -321,7 +331,7 @@ def _treedec_dp(
                     new[key] = val * w[gv]
             tables[t] = new
 
-    return _finish(tables[len(td.bags) - 1].get((), 0), exact)
+    return tables[len(td.bags) - 1].get((), 0 if exact else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,31 +359,31 @@ def _count_row(
     catalog: _Catalog,
     g: Union[Graph, FeaturedGraph],
     phi: Optional[PhiFunction] = None,
-) -> list[HomValue]:
-    """hom(F, G) for each F in a `_classify`d catalog, the one dispatcher
-    behind `hom`, `hom_vector` and `embed`, and the only place an encoder
-    becomes vertex weights, once for the row. Trees go to the tree DP,
-    unweighted cycles to one shared chain of adjacency powers, everything
-    else to the decomposition DP. Neither DP re-checks its pattern: the
-    catalog has classified it, and `nice_decomposition` validates each
-    decomposition once, when it builds it."""
+) -> tuple[list[Union[int, float]], bool]:
+    """hom(F, G) for each F in a `_classify`d catalog, and whether the row is
+    exact: Python ints if so, floats if weighted. The one dispatcher behind
+    `hom`, `hom_vector` and `embed`, and the only place an encoder becomes
+    vertex weights, once for the row. Trees go to the tree DP, unweighted
+    cycles to one shared chain of adjacency powers, everything else to the
+    decomposition DP. Neither DP re-checks its pattern: the catalog has
+    classified it, and `nice_decomposition` validates each decomposition."""
     graph = g.graph if isinstance(g, FeaturedGraph) else g
     weights = None  # exact: every vertex weighs one
     if phi is not None and phi.kind != "constant_one":
         x = g.features if isinstance(g, FeaturedGraph) else np.zeros((graph.num_vertices, 0))
         weights = [phi(row) for row in x]
-    chain = weights is None
+    exact = weights is None
     longest = max((fg.num_vertices for fg, kind, _ in catalog if kind == "cycle"), default=0)
-    traces = _walk_traces(graph, longest) if chain and longest else []
+    traces = _walk_traces(graph, longest) if exact and longest else []
     row = []
     for fg, kind, pattern in catalog:
-        if kind == "cycle" and chain:
-            row.append(_finish(traces[fg.num_vertices], True))
+        if kind == "cycle" and exact:
+            row.append(traces[fg.num_vertices])
         elif kind == "tree":
             row.append(_tree_dp(fg, graph, weights))
         else:
             row.append(_treedec_dp(fg, nice_decomposition(pattern), graph, weights))
-    return row
+    return row, exact
 
 
 def hom(
@@ -382,7 +392,8 @@ def hom(
     phi: Optional[PhiFunction] = None,
 ) -> HomValue:
     """Compute hom(F, G) by the cheapest applicable algorithm; F may be a bare graph."""
-    return _count_row(_classify([f]), g, phi)[0]
+    (total,), exact = _count_row(_classify([f]), g, phi)
+    return _finish(total, exact)
 
 
 def _to_density(count: float, f: Graph, g: Graph) -> float:
@@ -415,9 +426,10 @@ def hom_vector(
     phi: Optional[PhiFunction] = None,
     density: bool = False,
 ) -> np.ndarray:
-    """One coordinate per pattern, in catalog order."""
+    """One coordinate per pattern, in catalog order. Exact counts above 2**53
+    round to the nearest double without a flag; `embed` flags them."""
     graph = g.graph if isinstance(g, FeaturedGraph) else g
-    row = [float(hv) for hv in _count_row(_classify(patterns), g, phi)]
+    row = [_as_float(total) for total in _count_row(_classify(patterns), g, phi)[0]]
     if density:
         row = [_to_density(v, _pattern_graph(f), graph) for v, f in zip(row, patterns)]
     return np.array(row, dtype=np.float64)

@@ -62,6 +62,18 @@ class TestHom:
         err = capsys.readouterr().err
         assert str(path) in err and "holds 2" in err
 
+    @pytest.mark.parametrize("args", [["--pattern", "cycle:256"],
+                                      ["--weighted", "--pattern", "path:257"]])
+    def test_count_past_the_float64_range(self, tmp_path, args, capsys):
+        # 16**256 = 2**1024: both counts into K17 exceed every double
+        path = tmp_path / "k17.txt"
+        edges = [f"{u} {v}" for u in range(17) for v in range(u + 1, 17)]
+        path.write_text("\n".join(["17", *edges]) + "\n")
+        assert main(["hom", *args, "--graph", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: homomorphism count exceeds the float64 range"]
+
     @pytest.mark.parametrize("index", ["5", "-1"])
     def test_pattern_index_out_of_range(self, k3_file, index, capsys):
         spec = f"file:{k3_file}#{index}"

@@ -112,6 +112,25 @@ class TestOptions:
         assert [p.kind for p in phis] == ["constant_one"] + ["coordinate"] * 3
 
 
+class TestRoundingFlag:
+    def test_flags_exactly_the_columns_float64_rounds(self):
+        # hom(C_k, K30) = 29**k + 29 * (-1)**k. From C11 on the counts pass
+        # 2**53, but C11's is even and so an exact double; C12 to C14 round.
+        n = 30
+        k30 = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        bundle = DatasetBundle(name="k30", graphs=[k30], labels=[0])
+        counts = embed(bundle, "cycles:14")
+        densities = embed(bundle, "cycles:14", density=True)
+        exact = [29**c.size + 29 * (-1) ** c.size for c in counts.column_meta]
+        assert counts.values[0].tolist() == [float(x) for x in exact]
+        assert float(exact[11 - 2]) == exact[11 - 2] > 2**53
+        assert [c.size for c in counts.column_meta if c.promoted] == [12, 13, 14]
+        # the flag is read on the count, before the density division
+        assert [c.promoted for c in densities.column_meta] == [
+            c.promoted for c in counts.column_meta
+        ]
+
+
 class TestStandardizer:
     def test_constant_column_zeroed(self):
         values = np.array([[1.0, 2.0], [1.0, 4.0], [1.0, 6.0]])

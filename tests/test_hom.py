@@ -16,6 +16,7 @@ from homcount.hom import (
     EXACT_LIMIT,
     HomValue,
     PhiFunction,
+    _as_float,
     _walk_traces,
     hom,
     hom_brute,
@@ -263,6 +264,35 @@ class TestCycleAlgorithm:
         assert hv.mode == "real" and hv.promoted
         assert hv.value > 0
 
+    def test_counts_past_the_float64_range_raise(self):
+        # hom(C256, K17) = 16**256 + 16 >= 2**1024, past the largest double
+        c256 = Pattern(cycle_graph(256), "cycle", 256, "c256")
+        bundle = DatasetBundle("k17", [k(17)], [0])
+        for count in (
+            lambda: hom_cycle(256, k(17)),
+            lambda: hom(c256, k(17)),
+            lambda: hom_vector([c256], k(17)),
+            lambda: embed(bundle, [c256]),
+        ):
+            with pytest.raises(ValueError, match="exceeds the float64 range"):
+                count()
+
+    def test_weighted_overflow_raises(self):
+        # every weighted walk of P257 into K17 weighs 1.0: 17 * 16**256 > 2**1024
+        fg = FeaturedGraph(k(17), np.ones((17, 1)))
+        with pytest.raises(ValueError, match="exceeds the float64 range"):
+            hom(path_graph(257), fg, phi=PhiFunction.coordinate(0))
+        with pytest.raises(ValueError, match="exceeds the float64 range"):
+            hom_vector([path_graph(257)], fg, phi=PhiFunction.coordinate(0))
+
+    def test_float64_range_edge(self):
+        # the least int that float() rounds to 2**1024 is 2**1024 - 2**970
+        edge = (1 << 1024) - (1 << 970)
+        assert _as_float(edge - 1) == sys.float_info.max
+        for total in (edge, 1 << 1024, float("inf"), -float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="exceeds the float64 range"):
+                _as_float(total)
+
 
 class TestTreewidthAlgorithm:
     def test_c4_into_k4(self):
@@ -484,6 +514,32 @@ class TestRowEngine:
         cells = m.values[0].reshape(len(ROW_PATTERNS), len(encoders))
         for q, phi in enumerate(encoders):
             assert cells[:, q].tolist() == expected[phi][: len(ROW_PATTERNS)]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_weighted_cycles_are_traces(self, data):
+        # hom_phi(C_k, G) = tr((A D)^k) with D = diag(phi(v)): each closed walk
+        # of length k weighs the product of the k vertices it visits. The
+        # tolerance is relative to the walks' absolute sum, tr((A |D|)^k):
+        # under affine weights of both signs the trace itself can cancel.
+        n = data.draw(st.integers(1, 7), label="n")
+        pairs = list(itertools.combinations(range(n), 2))
+        mask = data.draw(st.integers(0, (1 << len(pairs)) - 1), label="edge mask")
+        unit = st.floats(0.0, 1.0)
+        rows = data.draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n), label="x")
+        x = np.array(rows)
+        fg = FeaturedGraph(Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]), x)
+        coef = st.floats(-2.0, 2.0)
+        affine = data.draw(st.tuples(coef, coef, coef), label="affine")
+        a = fg.graph.adjacency_matrix().astype(np.float64)
+        for phi in (PhiFunction.coordinate(0), PhiFunction.coordinate(1),
+                    PhiFunction.affine(affine[:2], affine[2])):
+            d = np.array([phi(row) for row in x])
+            for kk in range(3, 9):
+                want = np.trace(np.linalg.matrix_power(a * d, kk))  # a * d is A D
+                scale = np.trace(np.linalg.matrix_power(a * np.abs(d), kk))
+                got = hom(cycle_graph(kk), fg, phi=phi).value
+                assert abs(got - want) <= 1e-9 * scale + 1e-300  # 1e-300: underflow
 
     def test_embed_classifies_the_catalog_once(self, monkeypatch):
         patterns = enumerate_cycles(6) + enumerate_trees(5) + [custom_pattern(k(4))]
