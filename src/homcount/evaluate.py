@@ -7,6 +7,7 @@ function of (data, hyperparameters); all shuffling flows from explicit seeds.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -28,6 +29,14 @@ class Hyper:
     l2: float = 0.0
     lr: float = 0.2
     epochs: int = 2000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and non-negative, got {self.l2}")
+        if not isinstance(self.epochs, int) or self.epochs < 0:
+            raise ValueError(f"epochs must be a non-negative int, got {self.epochs!r}")
 
 
 @dataclass
@@ -146,17 +155,20 @@ def _train_stack(
     term is then laid out row-major for the weight gradient and sample-major
     for the bias gradient. Equal rows with equal labels get equal error
     terms wherever BLAS gives them equal scores, so where every fold of the
-    stack has at most 0.6 n distinct (row, label) pairs, the softmax runs on
-    each pair's first row only, padded to the stack's largest pair count,
-    and the error term is copied back to every row. With more pairs the
-    gather and the copy cost more than they save (break-even measured near
-    0.7 n), and the softmax runs on all n rows. The products stay on all n
-    rows: BLAS may round a narrower product differently. Each fold's result
-    is thus bit-identical to training it alone with `train_classifier` and
-    to the softmax on every row wherever BLAS gives bit-equal rows bit-equal
-    scores. Where it does not (seen with 130 classes and 45 or more
-    features, and with 40 classes and 97 or more), the two paths can differ
-    in the low bits, and a fold's result can depend on its stack's path.
+    stack has at most 0.6 n distinct (row, label) pairs, the scores are
+    computed for each pair's first row only: those rows are gathered once
+    per live stack, padded with row 0 to the stack's largest pair count and
+    to at least two, since numpy hands a one-column product to BLAS gemv,
+    which rounds unlike gemm. The error term is taken back to every row in
+    both layouts. With more pairs the gather and the takes cost more than
+    they save (break-even measured near 0.7 n), and the softmax runs on all
+    n rows. The weight product and the bias sum stay on all n rows, in
+    order. Each fold's result is thus bit-identical to training it alone
+    with `train_classifier` and to the softmax on every row wherever BLAS
+    gives bit-equal rows bit-equal scores. Where it does not (seen with 130
+    classes and 45 or more features, and with 40 classes and 97 or more),
+    the two paths can differ in the low bits, and a fold's result can
+    depend on its stack's path.
     A fold whose gradient norm falls below 1e-15 stops there and leaves the
     stack; the rest keep training.
 
@@ -180,27 +192,26 @@ def _train_stack(
             zs = zc.reshape(n, m, c)  # zc's memory, sample-major
             u = int(counts[live].max())
             if u > 0.6 * n:  # too few repeats to pay for the gather: the softmax runs in place
-                u, z, labels = n, zc, y
+                u, z, xz, labels = n, zc, xt, y
                 acc, err = zr.reshape(m, c, n), zr  # zr's memory, free until the error term
             else:
+                u = min(max(u, 2), n)  # one column would be a gemv, rounded unlike a gemm
                 cols = first[live, :u]
                 labels = np.take_along_axis(y, cols, axis=1)
+                xz = np.take_along_axis(x, cols[:, :, None], axis=1).transpose(0, 2, 1)
                 z = zr.reshape(-1)[: m * c * u].reshape(m, c, u)  # free until the error term
-                acc = zc.reshape(-1)[: m * c * u].reshape(m, c, u)  # free once z is gathered
-                err = zc.reshape(-1)[: m * u * c].reshape(m, u, c)  # free once acc is read
-                # flat scores of each fold's distinct columns, f*C*n + class*n + col,
-                # and each row's error term in the (m*u, C) rows of err, f*u + pair
-                gather = ((np.arange(m) * c * n)[:, None, None] + (np.arange(c) * n)[:, None]
-                          + cols[:, None, :]).reshape(-1)
-                back = ((np.arange(m) * u)[:, None] + pair[live]).reshape(-1)
+                acc = zc.reshape(-1)[: m * c * u].reshape(m, c, u)  # free until the error term
+                err = np.empty((m, u, c))  # read while zr and zs are written
+                # each row's error term in the (m*u, C) rows of err, f*u + pair,
+                # in row-major (m, n) and in sample-major (n, m) order
+                back = (np.arange(m) * u)[:, None] + pair[live]
+                back, back_s = back.reshape(-1), back.T.reshape(-1)
             # each label in flat class-major softmax input: f*C*u + label*u + col
             hot = ((np.arange(m) * c * u)[:, None] + labels * u + np.arange(u)).reshape(-1)
             rows = acc[:, :1]  # row max, then row sum
             gw, gw_tmp = np.empty((m, d, c)), np.empty((m, d, c))
             gb, gb_sq = np.empty((m, 1, c)), np.empty((m, 1, c))
-        np.matmul(w.transpose(0, 2, 1), xt, out=zc)
-        if z is not zc:
-            np.take(zc.reshape(-1), gather, out=z.reshape(-1), mode="clip")  # clip: unbuffered
+        np.matmul(w.transpose(0, 2, 1), xz, out=z)
         z += b.transpose(0, 2, 1)
         z.max(axis=1, keepdims=True, out=rows)
         z -= rows
@@ -209,12 +220,15 @@ def _train_stack(
         z /= rows  # softmax probabilities
         z.reshape(-1)[hot] -= 1.0  # minus the one-hot labels; p - 0.0 == p
         np.divide(z.transpose(0, 2, 1), n, out=err)  # the error term, row-major
-        if err is not zr:
+        if err is zr:
+            np.copyto(zs, zr.transpose(1, 0, 2))
+        else:
+            # mode="clip" writes straight into out, unbuffered
             np.take(err.reshape(m * u, c), back, axis=0, out=zr.reshape(m * n, c), mode="clip")
+            np.take(err.reshape(m * u, c), back_s, axis=0, out=zs.reshape(n * m, c), mode="clip")
         np.matmul(xt, zr, out=gw)
         np.multiply(w, hyper.l2, out=gw_tmp)
         gw += gw_tmp
-        np.copyto(zs, zr.transpose(1, 0, 2))
         np.add.reduce(zs, axis=0, out=gb[:, 0])
         np.multiply(gw, gw, out=gw_tmp)
         np.multiply(gb, gb, out=gb_sq)
@@ -347,6 +361,8 @@ def cross_validate(
     `config["distinct_rows"]` the distinct (row, label) pairs each fold
     trained on, and `layer_seconds` the wall-clock time of the embed and
     train+predict layers, and of the stacked training within the latter."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     start = time.perf_counter()
     splits = [stratified_kfold(bundle.labels, k=k, seed=_fold_seed(seed, r))
               for r in range(repeats)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -400,7 +401,11 @@ def _to_density(count: float, f: Graph, g: Graph) -> float:
     """count / |V(G)| ** |V(F)| for pattern graph F and target graph G."""
     if g.num_vertices < 1:
         raise ValueError("density needs a non-empty target graph")
-    return count / float(g.num_vertices**f.num_vertices)
+    size = g.num_vertices**f.num_vertices
+    try:
+        return count / float(size)
+    except OverflowError:  # size is past the double range, the quotient need not be
+        return float(Fraction(count) / size)
 
 
 def hom_density(f: Union[Pattern, Graph], g: Graph) -> float:

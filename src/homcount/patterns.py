@@ -476,9 +476,9 @@ def parse_pattern_blocks(text: str) -> list[Graph]:
             for ln in lines[1:]:
                 u, v = ln.split()
                 edges.append((int(u), int(v)))
-        except ValueError as exc:
+            graphs.append(Graph(n, edges))
+        except (ValueError, IndexError) as exc:
             raise ValueError(f"malformed pattern block: {exc}") from exc
-        graphs.append(Graph(n, edges))
     return graphs
 
 

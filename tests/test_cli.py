@@ -89,6 +89,24 @@ class TestHom:
         got = json.loads(capsys.readouterr().out)["value"]
         assert got == value and type(got) is type(value)
 
+    def test_density_past_the_double_range(self, tmp_path, capsys):
+        # 17**300 is past every double; the density, about 1.5e-279, is not
+        path = tmp_path / "c17.txt"
+        path.write_text("\n".join(["17", *(f"{v} {(v + 1) % 17}" for v in range(17))]) + "\n")
+        assert main(["hom", "--pattern", "cycle:300", "--graph", str(path), "--density"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.5111944896513e-279)
+
+    @pytest.mark.parametrize("flag", ["--graph", "--pattern"])
+    def test_edge_out_of_range(self, k3_file, tmp_path, flag, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("3\n0 1\n1 5\n")
+        files = {"--graph": str(path), "--pattern": f"file:{path}"}
+        argv = ["hom", "--graph", k3_file, "--pattern", "edge"]
+        argv[argv.index(flag) + 1] = files[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: malformed pattern block: edge (1, 5) out of range for 3 vertices\n"
+
     def test_density_on_empty_graph(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("0\n")
@@ -272,6 +290,19 @@ class TestExitCodes:
         assert main(argv + [flag, spec]) == 2
         err = capsys.readouterr().err
         assert repr(spec) in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--lr", "nan", "lr must be"), ("--lr", "0", "lr must be"), ("--l2", "inf", "l2 must be"),
+         ("--l2", "-1", "l2 must be"), ("--epochs", "-1", "epochs must be"),
+         ("--repeats", "0", "repeats must be")],
+    )
+    def test_bad_training_setting_is_named(self, flag, value, message, capsys):
+        # each of these used to train (NaN weights, or a NaN mean) and exit 0
+        argv = ["eval", "--generate", "csl", "--family", "cycles:4", flag, value]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -117,6 +117,29 @@ class TestClassifier:
             train_classifier(np.asarray(x), y)
 
 
+class TestHyper:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"lr": float("nan")}, "lr must be finite and positive"),
+            ({"lr": float("inf")}, "lr must be finite and positive"),
+            ({"lr": 0.0}, "lr must be finite and positive"),
+            ({"lr": -0.2}, "lr must be finite and positive"),
+            ({"l2": float("nan")}, "l2 must be finite and non-negative"),
+            ({"l2": float("inf")}, "l2 must be finite and non-negative"),
+            ({"l2": -1.0}, "l2 must be finite and non-negative"),
+            ({"epochs": -1}, "epochs must be a non-negative int"),
+            ({"epochs": 2.5}, "epochs must be a non-negative int"),
+        ],
+    )
+    def test_bad_values_are_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Hyper(**kwargs)
+
+    def test_edge_values_are_accepted(self):
+        assert Hyper(l2=0.0, lr=1e-300, epochs=0).epochs == 0
+
+
 def tiny_csl():
     return gen_csl(copies_per_class=5, seed=0)
 
@@ -182,6 +205,12 @@ class TestCrossValidate:
     def test_k_larger_than_dataset_is_named_error(self):
         with pytest.raises(ValueError, match="k=12 .* has 10 graphs"):
             cross_validate(gen_csl(copies_per_class=1), "cycles:4", k=12)
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_no_repeats_is_named_error(self, repeats):
+        # zero repeats gave mean=nan std=nan from an empty fold list
+        with pytest.raises(ValueError, match=f"repeats must be at least 1, got {repeats}"):
+            cross_validate(tiny_csl(), "cycles:4", k=5, repeats=repeats)
 
     def test_seed_changes_folds(self):
         a = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=1)
@@ -405,3 +434,36 @@ class TestTrainStackShapes:
         y[0] = np.tile(np.arange(c), 40 // c)
         ran = self.check(x, y, c, Hyper(epochs=30))
         assert list(ran) == [0, 30, 30] and self.pair_counts(x, y)[0] == 40
+
+    @pytest.mark.parametrize("c", [1, 2, 10, 130])
+    def test_rows_from_few_sources(self, c):
+        # the forward product runs on each fold's distinct rows, two at least,
+        # gathered from that fold; a stack of folds with different pair
+        # counts pads the smaller ones with row 0
+        rng = np.random.default_rng(200 + c)
+        for d, n, sources in itertools.product((0, 1, 7, 13, 47), (2, 3, 40, 135),
+                                               (1, 2, 3, 5, 10)):
+            pick = rng.integers(0, sources, size=(3, n))
+            x = np.take_along_axis(rng.normal(size=(3, sources, d)), pick[..., None], axis=1)
+            y = np.take_along_axis(rng.integers(0, c, size=(3, sources)), pick, axis=1)
+            hyper = Hyper(l2=float(rng.choice([0.0, 0.01])), epochs=int(rng.integers(1, 31)))
+            if d < 30:
+                self.check(x, y, c, hyper)
+                continue
+            # from about 30 features on, `reference_train` rounds apart
+            w, b, ran, _ = _train_stack(x, y, c, hyper)
+            for i in range(len(x)):
+                one_w, one_b, one_ran, _ = _train_stack(x[i : i + 1], y[i : i + 1], c, hyper)
+                shape = f"fold {i} of {x.shape}, C={c}, {sources} sources"
+                assert np.array_equal(w[i], one_w[0]) and np.array_equal(b[i], one_b[0]), shape
+                assert ran[i] == one_ran[0], shape
+
+    def test_csl_shape(self):
+        # 50 folds of 135 rows from 10 sources, one per class: the csl-cv stack
+        rng = np.random.default_rng(135)
+        sources = rng.normal(size=(10, 7))
+        pick = np.stack([rng.permutation(np.repeat(np.arange(10), 15))[:135] for _ in range(50)])
+        x, y = sources[pick], pick
+        ran = self.check(x, y, 10, Hyper(epochs=40))
+        assert list(ran) == [40] * 50
+        assert self.pair_counts(x, y) == [10] * 50

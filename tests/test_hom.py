@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import sys
 
@@ -393,6 +394,19 @@ class TestDensities:
             densities(pats, Graph(0, []))
         g = random_simple_graph(random.Random(59), 6, 0.5)
         assert densities(pats, g) == self.DENSITY_ROUTES["hom_density"](pats, g)
+
+
+    @pytest.mark.parametrize("route", sorted(DENSITY_ROUTES))
+    def test_density_past_the_double_range(self, route):
+        # n**length is past every double, the densities are not. Closed walks
+        # on C_n: n times the +-1 step sequences whose sum is 0 mod n.
+        for n, length in ((17, 300), (16, 300), (16, 301)):
+            steps = range(length + 1)
+            walks = n * sum(math.comb(length, t) for t in steps if (2 * t - length) % n == 0)
+            expected = walks / n**length  # int / int rounds correctly
+            pattern = custom_pattern(cycle_graph(length))
+            [got] = self.DENSITY_ROUTES[route]([pattern], cycle_graph(n))
+            assert got == pytest.approx(expected, rel=1e-12) and (got > 0) == (walks > 0)
 
 
 class TestWeightedDensity:

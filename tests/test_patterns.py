@@ -301,6 +301,12 @@ class TestPatternFiles:
         with pytest.raises(ValueError, match="malformed"):
             parse_pattern_blocks("3\n0 x\n")
 
+    def test_edge_out_of_range(self):
+        # the edge check of Graph raised a bare IndexError
+        message = r"malformed pattern block: edge \(1, 5\) out of range for 3 vertices"
+        with pytest.raises(ValueError, match=message):
+            parse_pattern_blocks("3\n0 1\n1 5\n")
+
     def test_resolve_family(self):
         assert len(resolve_family("trees:6")) == 13
         assert len(resolve_family("cycles:8")) == 7
