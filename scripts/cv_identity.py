@@ -10,11 +10,12 @@ one CPU and once to two. For each workload it prints one tab-separated line:
    `config["epochs_run"]`, for 1 and for 2 CPUs;
 4. the sha256 of `embed(bundle, family)`'s value bytes and column metadata,
    with density off and then on;
-5. and 6. the sha256 of every fold's trained weights and biases, for 1 and
-   for 2 CPUs. Each fold's record is keyed by the bytes of its training rows
-   and labels, so the digest does not depend on how folds are stacked or
-   cut over CPUs, and it changes with the weights even where the fold
-   accuracies do not;
+5. and 6. the sha256 of the trained weights and biases of every distinct
+   training problem, for 1 and for 2 CPUs. Each record pairs the bytes of a
+   fold's training rows and labels with its weights, and each distinct
+   record counts once, so the digest depends neither on how folds are
+   stacked or cut over CPUs nor on how many folds share a problem, and it
+   changes with the weights even where the fold accuracies do not;
 7. and 8. the `layer_seconds` of both runs.
 
 Two more lines give column 4 for the labeled graphs of perfbench's
@@ -135,7 +136,7 @@ def main() -> None:
             evaluate._train_stack = recording(train_stack, records)
             report = evaluate.cross_validate(bundle, family, k=10, seed=0, repeats=10)
             folds.append(fingerprint(report))
-            weights.append(hashlib.sha256(json.dumps(sorted(records)).encode()).hexdigest())
+            weights.append(hashlib.sha256(json.dumps(sorted(set(records))).encode()).hexdigest())
             times.append({key: round(s, 3) for key, s in report.layer_seconds.items()})
         evaluate._train_stack = train_stack
         line = [f"{name}/{family}", *folds, embedding_digest(bundle, family), *weights]

@@ -229,6 +229,7 @@ def _cmd_cv(args) -> int:
             "embed_seconds": layers["embed"],
             "train_predict_seconds": layers["train_predict"],
             "total_seconds": layers["embed"] + layers["train_predict"],
+            "trained_problems": report.config["trained_problems"],
             "mean_accuracy": report.mean,
             "config": {key: report.config[key] for key in echoed} | {"seed": report.seed},
         }

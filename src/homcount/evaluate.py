@@ -290,6 +290,13 @@ def _fold_seed(seed: int, repeat: int) -> int:
     return seed * 1_000_003 + repeat
 
 
+# Below this many folds, a slice loses more to handing the GIL between threads
+# (each epoch is about 25 small numpy calls) than a second CPU gains. On 2
+# CPUs, two slices took 1.7-3.3 times as long as one thread at up to 24 folds
+# each, 0.85-1.25 times at 32-45 folds and 0.78-1.02 times at 50.
+_MIN_SLICE_FOLDS = 40
+
+
 def _usable_cpus() -> int:
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     return len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -300,49 +307,62 @@ def _run_folds(
     bundle: DatasetBundle,
     hyper: Hyper,
     splits: list[list[tuple[list[int], list[int]]]],
-) -> tuple[list[float], list[int], list[int], float]:
+) -> tuple[list[float], list[int], list[int], int, float]:
     """Per-fold accuracies, epochs run and distinct (row, label) pairs trained
-    on, in split order, and the training wall time.
+    on, in split order, the number of distinct problems trained and the
+    training wall time.
 
-    The folds of all repeats with one train-set size (at most two sizes occur)
-    form one stack, cut into a slice per usable CPU. The caller and a worker
-    thread per further slice train them concurrently, as numpy releases the
-    GIL in its ufunc and BLAS calls. Standardizing and prediction stay on the caller.
+    Graphs the catalog cannot tell apart get equal rows, so many folds pose
+    the same problem: their standardized training rows and labels are
+    byte-equal, keyed like `_distinct_rows` (row order, the sign of a zero and
+    every label count). Each distinct problem trains once, and every fold
+    takes its model, epochs and pair count and predicts on its own test rows.
+    The problems of all repeats with one train-set size (at most two sizes
+    occur) form one stack, cut into a slice per usable CPU but into no slice
+    of fewer than `_MIN_SLICE_FOLDS` folds. The caller and a worker thread per
+    further slice train them concurrently, as numpy releases the GIL in its
+    ufunc and BLAS calls. Standardizing and prediction stay on the caller.
     """
     labels = np.asarray(bundle.labels, dtype=np.int64)
     folds = [fold for repeat in splits for fold in repeat]
-    by_size: dict[int, list[int]] = {}
-    for i, (train_idx, _) in enumerate(folds):
-        by_size.setdefault(len(train_idx), []).append(i)
-    cpus, d = _usable_cpus(), matrix.values.shape[1]
-    stacks, rows = [], {}  # (folds, x, y) per train-set size; fold -> its rows there
-    for n, group in by_size.items():
-        x, y = np.empty((len(group), n, d)), np.empty((len(group), n), dtype=np.int64)
-        rows.update((i, (x[j], y[j])) for j, i in enumerate(group))
-        stacks.append((group, x, y))
-    test_x = []
-    for i, (train_idx, test_idx) in enumerate(folds):
+    by_size: dict[int, list] = {}  # train-set size -> (x, y) of each distinct problem
+    # (size, hash of x's bytes, hash of y's bytes) -> the problem's stack slot.
+    # The builtin hash: importing hashlib alone adds 3 MB of resident memory.
+    seen: dict[tuple[int, int, int], int] = {}
+    place, test_x = [], []  # each fold's (size, slot) and test rows
+    for train_idx, test_idx in folds:
         values = apply_standardizer(matrix, fit_standardizer(matrix, rows=train_idx)).values
-        x_row, y_row = rows[i]
-        x_row[:], y_row[:] = values[train_idx], labels[train_idx]
+        x, y = values[train_idx], labels[train_idx]
+        n, problems = len(train_idx), by_size.setdefault(len(train_idx), [])
+        xb, yb = x.tobytes(), y.tobytes()
+        j = seen.setdefault((n, hash(xb), hash(yb)), len(problems))
+        if j < len(problems) and (xb, yb) != (problems[j][0].tobytes(), problems[j][1].tobytes()):
+            j = len(problems)  # a hash collision: train it apart
+        if j == len(problems):
+            problems.append((x, y))
+        place.append((n, j))
         test_x.append(values[test_idx])
-    models, epochs_run, distinct = [None] * len(folds), [0] * len(folds), [0] * len(folds)
+    stacks = {n: [np.stack(part) for part in zip(*problems)] for n, problems in by_size.items()}
     train = partial(_train_stack, num_classes=bundle.num_classes, hyper=hyper)
+    cpus, trained = _usable_cpus(), {}
     train_start = time.perf_counter()
-    for group, x, y in stacks:
-        cut = min(cpus, len(group))
+    for n, (x, y) in stacks.items():
+        cut = max(min(cpus, len(x) // _MIN_SLICE_FOLDS), 1)
         slices = list(zip(np.array_split(x, cut), np.array_split(y, cut)))  # views of x, y
         with ThreadPoolExecutor(max(cut - 1, 1)) as pool:  # starts no thread if unused
             rest = [pool.submit(train, *xy) for xy in slices[1:]]
-            trained = [train(*slices[0])] + [future.result() for future in rest]
-        w, b, ran, pairs = (np.concatenate(parts) for parts in zip(*trained))
-        for j, i in enumerate(group):
-            models[i] = LogisticModel(weights=w[j], bias=b[j])
-            epochs_run[i], distinct[i] = int(ran[j]), int(pairs[j])
+            parts = [train(*slices[0])] + [future.result() for future in rest]
+        w, b, ran, pairs = (np.concatenate(part) for part in zip(*parts))
+        trained[n] = w, b, ran.tolist(), pairs.tolist()  # folds share their problem's ints
     train_seconds = time.perf_counter() - train_start
-    accuracies = [float(np.mean(predict(model, test) == labels[test_idx]))
-                  for model, test, (_, test_idx) in zip(models, test_x, folds)]
-    return accuracies, epochs_run, distinct, train_seconds
+    accuracies, epochs_run, distinct = [], [], []
+    for (n, j), test, (_, test_idx) in zip(place, test_x, folds):
+        w, b, ran, pairs = trained[n]
+        pred = predict(LogisticModel(w[j], b[j]), test)
+        accuracies.append(float(np.mean(pred == labels[test_idx])))
+        epochs_run.append(ran[j])
+        distinct.append(pairs[j])
+    return accuracies, epochs_run, distinct, sum(len(x) for x, _ in stacks.values()), train_seconds
 
 
 def cross_validate(
@@ -357,10 +377,14 @@ def cross_validate(
 ) -> CVReport:
     """Repeated stratified k-fold CV; the standardizer is fitted per fold on
     training rows only, so no test statistics leak into scaling.
-    `config["epochs_run"]` holds the epochs each fold trained, in fold order,
-    `config["distinct_rows"]` the distinct (row, label) pairs each fold
-    trained on, and `layer_seconds` the wall-clock time of the embed and
-    train+predict layers, and of the stacked training within the latter."""
+    Folds whose standardized training rows and labels are byte-equal share
+    one trained model, so a fold's result does not depend on how many folds
+    share its problem. `config["epochs_run"]` holds the epochs each fold
+    trained, in fold order, `config["distinct_rows"]` the distinct (row,
+    label) pairs each fold trained on, `config["trained_problems"]` the
+    number of distinct problems trained, and `layer_seconds` the wall-clock
+    time of the embed and train+predict layers, and of the stacked training
+    within the latter."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     start = time.perf_counter()
@@ -369,7 +393,8 @@ def cross_validate(
     embed_start = time.perf_counter()
     matrix = embed(bundle, family, phi_set=phi_set, density=density)
     embed_end = time.perf_counter()
-    accuracies, epochs_run, distinct_rows, train_seconds = _run_folds(matrix, bundle, hyper, splits)
+    accuracies, epochs_run, distinct_rows, problems, train_seconds = _run_folds(
+        matrix, bundle, hyper, splits)
     train_end = time.perf_counter()
     acc = np.asarray(accuracies)
     config = {
@@ -382,6 +407,7 @@ def cross_validate(
         "repeats": repeats,
         "epochs_run": epochs_run,
         "distinct_rows": distinct_rows,
+        "trained_problems": problems,
     }
     return CVReport(
         fold_accuracies=accuracies,

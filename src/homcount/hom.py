@@ -72,7 +72,8 @@ class PhiFunction:
         if self.kind == "affine":
             if len(self.weights) != len(row):
                 raise ValueError("affine weights do not match feature dimension")
-            value = float(np.dot(self.weights, row)) + self.bias
+            with np.errstate(over="ignore"):  # an overflow is the named error below
+                value = float(np.dot(self.weights, row)) + self.bias
             if not math.isfinite(value):
                 raise ValueError("affine encoder produced a non-finite value")
             return value

@@ -140,6 +140,9 @@ class TestGenEvalPipeline:
         assert "mean=1.0000" in summary and "std=0.0000" in summary
         report = json.loads(report_path.read_text())
         assert report["mean"] == 1.0 and report["stddev"] == 0.0
+        # each fold trains on 4 copies of each class in index order: one problem
+        assert report["config"]["trained_problems"] == 1
+        assert report["config"]["epochs_run"] == [Hyper().epochs] * 10
 
     def test_pipe_equals_generate_path(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -195,7 +198,7 @@ class TestBenchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == [
             "dataset", "num_graphs", "embed_seconds", "train_predict_seconds",
-            "total_seconds", "mean_accuracy", "config",
+            "total_seconds", "trained_problems", "mean_accuracy", "config",
         ]
         assert payload["total_seconds"] == (
             payload["embed_seconds"] + payload["train_predict_seconds"]
@@ -208,6 +211,7 @@ class TestBenchCommand:
         report = cross_validate(gen_csl(seed=0), "cycles:8", k=5, seed=0, repeats=1)
         assert payload["dataset"] == "CSL" and payload["num_graphs"] == 150
         assert payload["mean_accuracy"] == report.mean
+        assert payload["trained_problems"] == report.config["trained_problems"] == 1
 
 
 class TestArtifacts:

@@ -8,7 +8,13 @@ import pytest
 from conftest import reference_train
 from homcount import evaluate
 from homcount.datasets import DatasetBundle, gen_bipartite_er, gen_csl, load_paulus
-from homcount.embedding import apply_standardizer, embed, fit_standardizer
+from homcount.embedding import (
+    ColumnMeta,
+    EmbeddingMatrix,
+    apply_standardizer,
+    embed,
+    fit_standardizer,
+)
 from homcount.evaluate import (
     Hyper,
     _fold_seed,
@@ -144,6 +150,16 @@ def tiny_csl():
     return gen_csl(copies_per_class=5, seed=0)
 
 
+def random_graphs():
+    """20 random graphs with distinct edge counts: no two rows are equal, so
+    under cycles:4 every fold poses its own training problem."""
+    rng = random.Random(0)
+    edges = list(itertools.combinations(range(9), 2))
+    graphs = [Graph(9, rng.sample(edges, m)) for m in range(3, 23)]
+    labels = [rng.randrange(2) for _ in graphs]
+    return DatasetBundle(name="random", graphs=graphs, labels=labels)
+
+
 class TestCrossValidate:
     def test_csl_cycles_reach_one(self):
         rep = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=2)
@@ -192,11 +208,7 @@ class TestCrossValidate:
         rep = cross_validate(tiny_csl(), "cycles:8", hyper=Hyper(epochs=5), k=5, repeats=2)
         assert rep.config["distinct_rows"] == [10] * 10
         # random graphs with distinct edge counts: every training row differs
-        rng = random.Random(0)
-        edges = list(itertools.combinations(range(9), 2))
-        graphs = [Graph(9, rng.sample(edges, m)) for m in range(3, 23)]
-        labels = [rng.randrange(2) for _ in graphs]
-        bundle = DatasetBundle(name="random", graphs=graphs, labels=labels)
+        bundle = random_graphs()
         rep = cross_validate(bundle, "cycles:4", hyper=Hyper(epochs=5), k=4, repeats=2)
         sizes = [len(train) for r in range(2)
                  for train, _ in stratified_kfold(bundle.labels, k=4, seed=_fold_seed(0, r))]
@@ -246,12 +258,13 @@ class TestBench:
 
 
 def reference_cv(bundle, family, hyper, k, seed, repeats):
-    """Fold accuracies and epochs run from a sequential loop over the 2-D
-    reference trainer. Along the way, asserts that the one-fold
-    `train_classifier` reproduces each reference model exactly."""
+    """Fold accuracies, epochs run and distinct (row, label) pairs from a
+    sequential loop over the 2-D reference trainer, one training per fold.
+    Along the way, asserts that the one-fold `train_classifier` reproduces
+    each reference model exactly."""
     matrix = embed(bundle, family)
     labels = np.asarray(bundle.labels, dtype=np.int64)
-    accuracies, epochs = [], []
+    accuracies, epochs, distinct = [], [], []
     for r in range(repeats):
         for train, test in stratified_kfold(bundle.labels, k=k, seed=_fold_seed(seed, r)):
             values = apply_standardizer(matrix, fit_standardizer(matrix, rows=train)).values
@@ -262,7 +275,8 @@ def reference_cv(bundle, family, hyper, k, seed, repeats):
             pred = np.argmax(values[test] @ w + b, axis=1)
             accuracies.append(float(np.mean(pred == labels[test])))
             epochs.append(ran)
-    return accuracies, epochs
+            distinct.append(len({(row.tobytes(), label) for row, label in zip(x, y.tolist())}))
+    return accuracies, epochs, distinct
 
 
 def _early_stop_bundle():
@@ -279,7 +293,19 @@ REFERENCE_CASES = {
     # every row standardizes to zero, so predictions rest on bias ties
     "paulus-ties": (lambda: load_paulus(seed=0), "trees:3", Hyper(epochs=200), 5, 1),
     "early-stop": (_early_stop_bundle, [], Hyper(epochs=50), 4, 1),
+    # eight distinct problems in one stack, enough for every cut below
+    "distinct": (random_graphs, "cycles:4", Hyper(epochs=200), 4, 2),
 }
+
+
+def recording(train, slices: list):
+    """`train`, the stacked trainer, appending the (x, y) of each call to `slices`."""
+
+    def train_and_record(x, y, *args, **kwargs):
+        slices.append((x.copy(), y.copy()))
+        return train(x, y, *args, **kwargs)
+
+    return train_and_record
 
 
 class TestStackedTrainingMatchesReference:
@@ -288,17 +314,26 @@ class TestStackedTrainingMatchesReference:
     def test_fold_accuracies_and_epochs(self, case, monkeypatch):
         make, family, hyper, k, repeats = REFERENCE_CASES[case]
         bundle = make()
-        accuracies, epochs = reference_cv(bundle, family, hyper, k, 0, repeats)
+        accuracies, epochs, distinct = reference_cv(bundle, family, hyper, k, 0, repeats)
         if case == "early-stop":
             assert epochs == [hyper.epochs] * 3 + [0]
+        slices = []
+        monkeypatch.setattr(evaluate, "_train_stack", recording(_train_stack, slices))
+        monkeypatch.setattr(evaluate, "_MIN_SLICE_FOLDS", 1)  # cut the smallest stacks too
         # one slice, two, three, and one per fold with CPUs to spare
         for cpus in (1, 2, 3, k * repeats + 1):
+            slices.clear()
             monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
             rep = cross_validate(bundle, family, hyper=hyper, k=k, seed=0, repeats=repeats)
             assert rep.fold_accuracies == accuracies, f"{cpus} CPUs"
             assert rep.config["epochs_run"] == epochs, f"{cpus} CPUs"
+            assert rep.config["distinct_rows"] == distinct, f"{cpus} CPUs"
+            assert sum(len(x) for x, _ in slices) == rep.config["trained_problems"]
+            if case == "distinct":
+                assert len(slices) == min(cpus, k * repeats), f"{cpus} CPUs"
 
-    def test_only_training_leaves_the_calling_thread(self, monkeypatch):
+    @staticmethod
+    def _trace_threads(monkeypatch) -> dict[str, set[int]]:
         threads: dict[str, set[int]] = {}
 
         def record(name):
@@ -310,16 +345,78 @@ class TestStackedTrainingMatchesReference:
 
             monkeypatch.setattr(evaluate, name, wrapper)
 
-        traced = ("fit_standardizer", "apply_standardizer", "predict")
-        for name in traced + ("_train_stack",):
+        for name in ("fit_standardizer", "apply_standardizer", "predict", "_train_stack"):
             record(name)
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
-        cross_validate(tiny_csl(), "cycles:8", hyper=Hyper(epochs=20), k=5, seed=0, repeats=2)
+        return threads
+
+    def test_only_training_leaves_the_calling_thread(self, monkeypatch):
+        threads = self._trace_threads(monkeypatch)
+        monkeypatch.setattr(evaluate, "_MIN_SLICE_FOLDS", 4)  # 8 problems make two slices
+        cross_validate(random_graphs(), "cycles:4", hyper=Hyper(epochs=20), k=4, seed=0, repeats=2)
         caller = threading.get_ident()
-        for name in traced:
+        for name in ("fit_standardizer", "apply_standardizer", "predict"):
             assert threads[name] == {caller}, name
         # the caller trains one slice, a worker thread the other
         assert caller in threads["_train_stack"] and len(threads["_train_stack"]) == 2
+
+    def test_stack_below_the_minimum_stays_on_the_calling_thread(self, monkeypatch):
+        threads = self._trace_threads(monkeypatch)
+        slices = []
+        monkeypatch.setattr(evaluate, "_train_stack", recording(evaluate._train_stack, slices))
+        assert 8 < 2 * evaluate._MIN_SLICE_FOLDS
+        rep = cross_validate(random_graphs(), "cycles:4", hyper=Hyper(epochs=20), k=4, repeats=2)
+        assert rep.config["trained_problems"] == 8
+        assert [len(x) for x, _ in slices] == [8]  # one slice of all eight problems
+        assert set().union(*threads.values()) == {threading.get_ident()}
+
+
+class TestDeduplication:
+    """Folds whose standardized training rows and labels are byte-equal train
+    once; any other difference trains apart."""
+
+    @pytest.mark.parametrize("make", [gen_csl, load_paulus], ids=["csl", "paulus"])
+    def test_indistinguishable_folds_train_two_problems(self, make, monkeypatch):
+        # 10x10 CV: two train-set class counts, each fold's rows in index order
+        bundle, hyper = make(seed=0), Hyper(epochs=20)
+        slices = []
+        monkeypatch.setattr(evaluate, "_train_stack", recording(_train_stack, slices))
+        rep = cross_validate(bundle, "cycles:8", hyper=hyper, k=10, seed=0, repeats=10)
+        assert sum(len(x) for x, _ in slices) == rep.config["trained_problems"] == 2
+        accuracies, epochs, distinct = reference_cv(bundle, "cycles:8", hyper, 10, 0, 10)
+        assert rep.fold_accuracies == accuracies
+        assert rep.config["epochs_run"] == epochs
+        assert rep.config["distinct_rows"] == distinct
+
+    def test_any_byte_difference_trains_apart(self, monkeypatch):
+        values = np.array([
+            [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+            [1.0, -0.0],  # row 0 but for the sign of a zero
+            [1.0, 0.0],  # row 0 with the other label
+            [0.5, 0.5],  # the test row
+        ])
+        bundle = DatasetBundle("bytes", [Graph(1, [])] * 6, [0, 1, 0, 0, 1, 1])
+        meta = [ColumnMeta(i, "test", 1, "", "1", False, False) for i in range(2)]
+        matrix = EmbeddingMatrix(values, meta)
+        monkeypatch.setattr(evaluate, "apply_standardizer", lambda matrix, scaler: matrix)
+        slices = []
+        monkeypatch.setattr(evaluate, "_train_stack", recording(_train_stack, slices))
+        trains = [[0, 1, 2], [0, 1, 2], [1, 0, 2], [3, 1, 2], [4, 1, 2]]
+        splits = [[(train, [5]) for train in trains]]
+        accuracies, epochs, distinct, problems, _ = evaluate._run_folds(
+            matrix, bundle, Hyper(epochs=30), splits)
+        # the second fold repeats the first; row order, -0.0 and a label each differ
+        assert problems == 4
+        labels = np.asarray(bundle.labels)
+        x, y = (np.concatenate(part) for part in zip(*slices))
+        assert len(x) == 4
+        for got_x, got_y, train in zip(x, y, [trains[0]] + trains[2:]):
+            assert got_x.tobytes() == values[train].tobytes()
+            assert got_y.tolist() == labels[train].tolist()
+        for i, train in enumerate(trains):
+            model = train_classifier(values[train], labels[train], 2, Hyper(epochs=30))
+            assert accuracies[i] == float(predict(model, values[[5]])[0] == 1)
+        assert epochs == [30] * 5 and distinct == [3] * 5
 
 
 class TestTrainStackShapes:
