@@ -2,8 +2,12 @@
 cross-validation workloads.
 
 Runs CSL/cycles:8, bipartite/{cycles:8, trees:6} and Paulus/{cycles:8,
-trees:6} as 10x10 `cross_validate` at seed 0, once with training limited to
-one CPU and once to two. For each workload it prints one tab-separated line:
+trees:6, trees:8} as 10x10 `cross_validate` at seed 0, once with training
+limited to one CPU and once to two. Paulus/trees:8 trains a (2, 189, 47)
+stack on the gathered rows, the one line on that path with more than 7
+features. All Paulus graphs share one embedding row, so every standardized
+feature is 0.0: the line covers the wide buffers and the bias, not how BLAS
+rounds a wide product. For each workload it prints one tab-separated line:
 
 1. the workload;
 2. and 3. the sha256 of its fold accuracies (as float hex) and
@@ -67,6 +71,7 @@ WORKLOADS = [
     ("bipartite", gen_bipartite_er, "trees:6"),
     ("paulus", load_paulus, "cycles:8"),
     ("paulus", load_paulus, "trees:6"),
+    ("paulus", load_paulus, "trees:8"),
 ]
 
 # real-valued vertex weights: every label weighs a non-integer, one negative

@@ -149,26 +149,31 @@ def _train_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Train F same-shaped classifiers as one stacked program.
 
-    `x` is (F, n, d) and `y` is (F, n). Batched matmul makes one BLAS
-    product per fold. The softmax runs on class-major (F, C, n) scores, so
-    each reduction over the classes is elementwise over n rows; the error
-    term is then laid out row-major for the weight gradient and sample-major
-    for the bias gradient. Equal rows with equal labels get equal error
-    terms wherever BLAS gives them equal scores, so where every fold of the
-    stack has at most 0.6 n distinct (row, label) pairs, the scores are
-    computed for each pair's first row only: those rows are gathered once
-    per live stack, padded with row 0 to the stack's largest pair count and
-    to at least two, since numpy hands a one-column product to BLAS gemv,
-    which rounds unlike gemm. The error term is taken back to every row in
-    both layouts. With more pairs the gather and the takes cost more than
-    they save (break-even measured near 0.7 n), and the softmax runs on all
-    n rows. The weight product and the bias sum stay on all n rows, in
-    order. Each fold's result is thus bit-identical to training it alone
-    with `train_classifier` and to the softmax on every row wherever BLAS
-    gives bit-equal rows bit-equal scores. Where it does not (seen with 130
-    classes and 45 or more features, and with 40 classes and 97 or more),
-    the two paths can differ in the low bits, and a fold's result can
-    depend on its stack's path.
+    `x` is (F, n, d) and `y` is (F, n). Each fold's weights and bias are one
+    (d + 1, C) block of one buffer, weights first, and so is its gradient, so
+    an update is two calls. Batched matmul makes one BLAS product per fold,
+    W^T X^T, on both paths below. Equal rows with equal labels get equal
+    error terms wherever BLAS gives them equal scores, so where every fold
+    of the stack has at most 0.6 n distinct (row, label) pairs, the scores
+    are computed for each pair's first row only: those rows are gathered
+    once per live stack, padded with row 0 to the stack's largest pair count
+    and to at least two, since numpy hands a one-column product to BLAS
+    gemv, which rounds unlike gemm. There the softmax runs row-major, on
+    (F, u, C) scores, so its class sum is numpy's own pairwise row sum, and
+    the error term is taken back to every row, row-major for the weight
+    gradient and sample-major for the bias gradient. With more pairs the
+    gather and the takes cost more than they save (break-even measured near
+    0.7 n), and the softmax runs in place on all n rows, class-major, on
+    (F, C, n) scores: numpy reduces a row-major block one short row at a
+    time (a row-major sum took bipartite's 9,000 rows of 2 classes 3.3
+    times as long), so `_sum_classes` adds the classes elementwise over the
+    rows, in the order of the pairwise sum. The weight product and the bias
+    sum stay on all n rows, in order. Each fold's result is thus
+    bit-identical to training it alone with `train_classifier` and to the
+    softmax on every row wherever BLAS gives bit-equal rows bit-equal
+    scores. Where it does not (seen with 130 classes and 45 or more
+    features, and with 40 classes and 97 or more), the two paths can differ
+    in the low bits, and a fold's result can depend on its stack's path.
     A fold whose gradient norm falls below 1e-15 stops there and leaves the
     stack; the rest keep training.
 
@@ -178,77 +183,83 @@ def _train_stack(
     f, n, d = x.shape
     c = num_classes
     first, pair, counts = _distinct_rows(x, y)
-    weights = np.zeros((f, d, c))
-    biases = np.zeros((f, 1, c))
+    params = np.zeros((f, d + 1, c))  # each fold's weights (d, C), then its bias (1, C)
     epochs_run = np.full(f, hyper.epochs)
     live = np.arange(f)  # the folds still in the stack, in stack order
-    w, b = weights.copy(), biases.copy()
-    zc = None  # work buffers, sized to the live stack
+    wb = params.copy()
+    z = None  # work buffers, sized to the live stack
     for epoch in range(hyper.epochs):
-        if zc is None:
+        if z is None:
+            # Every view the epoch uses is made here, once per live stack, and
+            # every reduction calls its ufunc: numpy's Python wrappers and
+            # reshapes cost microseconds a call, as much as the arithmetic.
             m = len(live)
+            w, b = wb[:, :d], wb[:, d:]
+            wt = w.transpose(0, 2, 1)
+            g, sq = np.empty((m, d + 1, c)), np.empty((m, d + 1, c))  # gradient; its squares
+            gw, gb, sw, sb = g[:, :d], g[:, d], sq[:, :d], sq[:, d]
+            sw_rows = sw.reshape(m, d * c)  # each fold's weight squares as one row
             xt = x.transpose(0, 2, 1)
-            zc, zr = np.empty((m, c, n)), np.empty((m, n, c))  # scores; error term
-            zs = zc.reshape(n, m, c)  # zc's memory, sample-major
+            zr, zs = np.empty((m, n, c)), np.empty((n, m, c))  # error term: row-, sample-major
             u = int(counts[live].max())
-            if u > 0.6 * n:  # too few repeats to pay for the gather: the softmax runs in place
-                u, z, xz, labels = n, zc, xt, y
-                acc, err = zr.reshape(m, c, n), zr  # zr's memory, free until the error term
-            else:
+            gather = u <= 0.6 * n
+            if gather:
                 u = min(max(u, 2), n)  # one column would be a gemv, rounded unlike a gemm
                 cols = first[live, :u]
                 labels = np.take_along_axis(y, cols, axis=1)
                 xz = np.take_along_axis(x, cols[:, :, None], axis=1).transpose(0, 2, 1)
-                z = zr.reshape(-1)[: m * c * u].reshape(m, c, u)  # free until the error term
-                acc = zc.reshape(-1)[: m * c * u].reshape(m, c, u)  # free until the error term
-                err = np.empty((m, u, c))  # read while zr and zs are written
-                # each row's error term in the (m*u, C) rows of err, f*u + pair,
+                zc, z, rows = np.empty((m, c, u)), np.empty((m, u, c)), np.empty((m, u, 1))
+                # each row's error term in the (m*u, C) rows of z, f*u + pair,
                 # in row-major (m, n) and in sample-major (n, m) order
                 back = (np.arange(m) * u)[:, None] + pair[live]
                 back, back_s = back.reshape(-1), back.T.reshape(-1)
-            # each label in flat class-major softmax input: f*C*u + label*u + col
-            hot = ((np.arange(m) * c * u)[:, None] + labels * u + np.arange(u)).reshape(-1)
-            rows = acc[:, :1]  # row max, then row sum
-            gw, gw_tmp = np.empty((m, d, c)), np.empty((m, d, c))
-            gb, gb_sq = np.empty((m, 1, c)), np.empty((m, 1, c))
-        np.matmul(w.transpose(0, 2, 1), xz, out=z)
-        z += b.transpose(0, 2, 1)
-        z.max(axis=1, keepdims=True, out=rows)
+                z_rows, zr_rows, zs_rows = (a.reshape(-1, c) for a in (z, zr, zs))
+            else:  # too few repeats to pay for the gather: the softmax runs in place
+                u, xz, labels = n, xt, y
+                zc, acc = zs.reshape(m, c, n), zr.reshape(m, c, n)  # free until the error term
+                z, rows = zc.transpose(0, 2, 1), acc[:, :1].transpose(0, 2, 1)  # row-major views
+                zr_s = zr.transpose(1, 0, 2)
+            zt = zc.transpose(0, 2, 1)
+            onehot = np.equal(labels[:, :, None], np.arange(c), out=np.empty_like(z))  # z's layout
+        np.matmul(wt, xz, out=zc)
+        np.add(zt, b, out=z)
+        np.maximum.reduce(z, axis=2, keepdims=True, out=rows)
         z -= rows
         np.exp(z, out=z)
-        _sum_classes(z, acc)
-        z /= rows  # softmax probabilities
-        z.reshape(-1)[hot] -= 1.0  # minus the one-hot labels; p - 0.0 == p
-        np.divide(z.transpose(0, 2, 1), n, out=err)  # the error term, row-major
-        if err is zr:
-            np.copyto(zs, zr.transpose(1, 0, 2))
+        if gather:
+            np.add.reduce(z, axis=2, keepdims=True, out=rows)  # numpy's pairwise row sum
         else:
+            _sum_classes(zc, acc)
+        z /= rows  # softmax probabilities
+        z -= onehot  # p - 0.0 == p
+        if gather:
+            z /= n  # the error term
             # mode="clip" writes straight into out, unbuffered
-            np.take(err.reshape(m * u, c), back, axis=0, out=zr.reshape(m * n, c), mode="clip")
-            np.take(err.reshape(m * u, c), back_s, axis=0, out=zs.reshape(n * m, c), mode="clip")
+            z_rows.take(back, axis=0, out=zr_rows, mode="clip")
+            z_rows.take(back_s, axis=0, out=zs_rows, mode="clip")
+        else:
+            np.divide(z, n, out=zr)
+            np.copyto(zs, zr_s)
         np.matmul(xt, zr, out=gw)
-        np.multiply(w, hyper.l2, out=gw_tmp)
-        gw += gw_tmp
-        np.add.reduce(zs, axis=0, out=gb[:, 0])
-        np.multiply(gw, gw, out=gw_tmp)
-        np.multiply(gb, gb, out=gb_sq)
-        norm = np.sqrt(gw_tmp.reshape(m, d * c).sum(axis=1) + gb_sq.reshape(m, c).sum(axis=1))
+        if hyper.l2:  # with l2 == 0 the term could only turn a -0.0 in gw into 0.0
+            np.multiply(w, hyper.l2, out=sw)
+            gw += sw
+        np.add.reduce(zs, axis=0, out=gb)
+        np.multiply(g, g, out=sq)
+        norm = np.sqrt(np.add.reduce(sw_rows, axis=1) + np.add.reduce(sb, axis=1))
         stop = norm < 1e-15
         if stop.any():
             done = live[stop]
-            weights[done], biases[done], epochs_run[done] = w[stop], b[stop], epoch
+            params[done], epochs_run[done] = wb[stop], epoch
             keep = ~stop
-            live, x, y, w, b = live[keep], x[keep], y[keep], w[keep], b[keep]
+            live, x, y, wb = live[keep], x[keep], y[keep], wb[keep]
             if not len(live):
                 break
-            gw, gb, norm, zc = gw[keep], gb[keep], norm[keep], None
-        scale = (hyper.lr / norm)[:, None, None]
-        gw *= scale
-        w -= gw
-        gb *= scale
-        b -= gb
-    weights[live], biases[live] = w, b
-    return weights, biases[:, 0], epochs_run, counts
+            g, norm, z = g[keep], norm[keep], None
+        g *= (hyper.lr / norm)[:, None, None]
+        wb -= g
+    params[live] = wb
+    return params[:, :d], params[:, d], epochs_run, counts
 
 
 def train_classifier(
@@ -291,9 +302,9 @@ def _fold_seed(seed: int, repeat: int) -> int:
 
 
 # Below this many folds, a slice loses more to handing the GIL between threads
-# (each epoch is about 25 small numpy calls) than a second CPU gains. On 2
-# CPUs, two slices took 1.7-3.3 times as long as one thread at up to 24 folds
-# each, 0.85-1.25 times at 32-45 folds and 0.78-1.02 times at 50.
+# (each epoch is some two dozen small numpy calls) than a second CPU gains. On
+# 2 CPUs, two slices took 1.7-3.3 times as long as one thread at up to 24
+# folds each, 0.85-1.25 times at 32-45 folds and 0.78-1.02 times at 50.
 _MIN_SLICE_FOLDS = 40
 
 

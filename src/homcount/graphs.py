@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -55,9 +56,9 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         n = self.num_vertices
         a = np.zeros((n, n), dtype=np.int64)
-        arcs = [(u, v) for u in range(n) for v in self.adjacency[u]]  # both directions
-        u, v = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
-        a[u, v] = 1
+        u = np.repeat(np.arange(n), list(map(len, self.adjacency)))  # each u, deg(u) times
+        v = np.fromiter(chain.from_iterable(self.adjacency), np.intp)  # u's neighbours in turn
+        a[u, v] = 1  # every arc, both directions
         return a
 
     def __eq__(self, other) -> bool:

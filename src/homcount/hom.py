@@ -13,12 +13,14 @@ weights.
 
 Unweighted counts are exact ints (flagged floats from 2**128), weighted ones
 doubles. Only `_as_float` makes a count a double; it raises ValueError past
-the float64 range. `embed` flags each column where float64 rounded a count.
+the float64 range. `embed` flags each column where float64 rounded a count,
+and `hom_vector` warns, naming the coordinates.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -232,7 +234,7 @@ def _walk_traces(g: Graph, k: int) -> list[int]:
                 p, a = p.astype(object), a.astype(object)  # Python ints from here on
         p = p @ a
         # Each diagonal entry fits its dtype but their sum need not: add as Python ints.
-        traces.append(sum(map(int, p.diagonal())))
+        traces.append(sum(map(int, p.diagonal().tolist())))
     return traces
 
 
@@ -432,10 +434,17 @@ def hom_vector(
     phi: Optional[PhiFunction] = None,
     density: bool = False,
 ) -> np.ndarray:
-    """One coordinate per pattern, in catalog order. Exact counts above 2**53
-    round to the nearest double without a flag; `embed` flags them."""
+    """One coordinate per pattern, in catalog order. An exact count that
+    float64 cannot hold (some above 2**53) rounds to the nearest double, with
+    a RuntimeWarning that names the rounded coordinates; `embed` flags such
+    columns in `ColumnMeta.promoted` instead."""
     graph = g.graph if isinstance(g, FeaturedGraph) else g
-    row = [_as_float(total) for total in _count_row(_classify(patterns), g, phi)[0]]
+    totals = _count_row(_classify(patterns), g, phi)[0]
+    row = [_as_float(total) for total in totals]
+    rounded = [i for i, (cell, total) in enumerate(zip(row, totals)) if cell != total]
+    if rounded:
+        warnings.warn(f"float64 rounded the exact counts of coordinates {rounded}",
+                      RuntimeWarning, stacklevel=2)
     if density:
         row = [_to_density(v, _pattern_graph(f), graph) for v, f in zip(row, patterns)]
     return np.array(row, dtype=np.float64)

@@ -27,6 +27,12 @@ from homcount.evaluate import (
 from homcount.graphs import Graph
 
 
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes; unlike `np.array_equal`, -0.0 is not 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestStratifiedKFold:
     def test_partition(self):
         labels = [0] * 30 + [1] * 20
@@ -96,7 +102,7 @@ class TestClassifier:
         y = rng.integers(0, 3, size=40)
         a = train_classifier(x, y, hyper=Hyper(epochs=100))
         b = train_classifier(x, y, hyper=Hyper(epochs=100))
-        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+        assert same_bits(a.weights, b.weights) and same_bits(a.bias, b.bias)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="align"):
@@ -271,7 +277,7 @@ def reference_cv(bundle, family, hyper, k, seed, repeats):
             x, y = values[train], labels[train]
             w, b, ran = reference_train(x, y, bundle.num_classes, hyper)
             model = train_classifier(x, y, bundle.num_classes, hyper)
-            assert np.array_equal(model.weights, w) and np.array_equal(model.bias, b)
+            assert same_bits(model.weights, w) and same_bits(model.bias, b)
             pred = np.argmax(values[test] @ w + b, axis=1)
             accuracies.append(float(np.mean(pred == labels[test])))
             epochs.append(ran)
@@ -431,8 +437,8 @@ class TestTrainStackShapes:
             ref_w, ref_b, ref_ran = reference_train(x[i], y[i], c, hyper)
             one_w, one_b, one_ran, _ = _train_stack(x[i : i + 1], y[i : i + 1], c, hyper)
             shape = f"fold {i} of {x.shape}, C={c}, l2={hyper.l2}"
-            assert np.array_equal(w[i], ref_w) and np.array_equal(b[i], ref_b), shape
-            assert np.array_equal(w[i], one_w[0]) and np.array_equal(b[i], one_b[0]), shape
+            assert same_bits(w[i], ref_w) and same_bits(b[i], ref_b), shape
+            assert same_bits(w[i], one_w[0]) and same_bits(b[i], one_b[0]), shape
             assert ran[i] == ref_ran == one_ran[0], shape
         return ran
 
@@ -460,7 +466,28 @@ class TestTrainStackShapes:
         w, b, _, _ = _train_stack(x, y, 2, hyper)
         for i in range(len(x)):
             model = train_classifier(x[i], y[i], 2, hyper)
-            assert np.array_equal(w[i], model.weights) and np.array_equal(b[i], model.bias), i
+            assert same_bits(w[i], model.weights) and same_bits(b[i], model.bias), i
+
+    @pytest.mark.parametrize("path", ["gather", "in-place"])
+    def test_signed_zero_columns_without_l2(self, path):
+        # columns of 0.0, of -0.0 and of both signs. With l2 == 0 the L2 term
+        # is skipped, which could change only the sign of a zero in the
+        # gradient: every weight and bias keeps its bits, and the weights of
+        # the zero columns stay 0.0
+        rng = np.random.default_rng(7)
+        if path == "gather":
+            sources, pick = 4, rng.integers(0, 4, size=(3, 40))
+        else:
+            sources, pick = 40, np.tile(np.arange(40), (3, 1))
+        rows = rng.normal(size=(3, sources, 5))
+        rows[..., 0], rows[..., 1] = 0.0, -0.0
+        rows[..., 2] = np.where(rng.random((3, sources)) < 0.5, 0.0, -0.0)
+        x = np.take_along_axis(rows, pick[..., None], axis=1)
+        y = np.take_along_axis(rng.integers(0, 3, size=(3, sources)), pick, axis=1)
+        assert max(self.pair_counts(x, y)) == (4 if path == "gather" else 40)
+        self.check(x, y, 3, Hyper(l2=0.0, epochs=30))
+        w = _train_stack(x, y, 3, Hyper(l2=0.0, epochs=30))[0]
+        assert same_bits(w[:, :3], np.zeros((3, 3, 3)))
 
     def test_early_stop_leaves_the_stack(self):
         rng = np.random.default_rng(0)
@@ -552,7 +579,7 @@ class TestTrainStackShapes:
             for i in range(len(x)):
                 one_w, one_b, one_ran, _ = _train_stack(x[i : i + 1], y[i : i + 1], c, hyper)
                 shape = f"fold {i} of {x.shape}, C={c}, {sources} sources"
-                assert np.array_equal(w[i], one_w[0]) and np.array_equal(b[i], one_b[0]), shape
+                assert same_bits(w[i], one_w[0]) and same_bits(b[i], one_b[0]), shape
                 assert ran[i] == one_ran[0], shape
 
     def test_csl_shape(self):

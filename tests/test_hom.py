@@ -48,6 +48,21 @@ def k(n):
 EDGE = Graph(2, [(0, 1)])
 
 
+def rounding_message(rounded):
+    return f"float64 rounded the exact counts of coordinates {rounded}"
+
+
+def warned_hom_vector(patterns, g, rounded, **kwargs):
+    """`hom_vector`'s row, asserting that it warns once, naming exactly the
+    `rounded` coordinates, if there are any, and not at all otherwise."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vec = hom_vector(patterns, g, **kwargs)
+    expected = [(RuntimeWarning, rounding_message(rounded))] if rounded else []
+    assert [(w.category, str(w.message)) for w in caught] == expected
+    return vec
+
+
 class TestBruteForce:
     def test_edge_into_triangle(self):
         assert hom_brute(EDGE, k(3)).value == 6  # 2|E|
@@ -175,8 +190,11 @@ class TestCycleAlgorithm:
         hv = hom_cycle(length, k(n))
         assert hv.mode == "exact" and hv.value == closed_walks(length)
         # The edge and C3..C_length share one chain of powers.
-        vec = hom_vector(enumerate_cycles(length), k(n))
-        assert vec.tolist() == [float(closed_walks(kk)) for kk in range(2, length + 1)]
+        counts = [closed_walks(kk) for kk in range(2, length + 1)]
+        rounded = [i for i, count in enumerate(counts) if float(count) != count]
+        assert rounded
+        vec = warned_hom_vector(enumerate_cycles(length), k(n), rounded)
+        assert vec.tolist() == [float(count) for count in counts]
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -205,7 +223,8 @@ class TestCycleAlgorithm:
             assert hv.mode == "exact" and hv.value == traces[length]
         else:
             assert hv.promoted and hv.value == float(traces[length])
-        vec = hom_vector(enumerate_cycles(length), g)
+        rounded = [i for i, t in enumerate(traces[2:]) if float(t) != t]
+        vec = warned_hom_vector(enumerate_cycles(length), g, rounded)
         assert vec.tolist() == [float(t) for t in traces[2:]]
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -265,6 +284,16 @@ class TestCycleAlgorithm:
         hv = hom_cycle(40, k(20))
         assert hv.mode == "real" and hv.promoted
         assert hv.value > 0
+
+    def test_hom_vector_names_rounded_coordinates(self):
+        # hom(C40, K20) = 19**40 + 19 is past 2**53 and rounds; C3 and C4 fit
+        c3, c4, c40 = (Pattern(cycle_graph(n), "cycle", n, f"c{n}") for n in (3, 4, 40))
+        counts = [19**3 - 19, 19**40 + 19, 19**4 + 19]
+        assert float(counts[1]) != counts[1]
+        vec = warned_hom_vector([c3, c40, c4], k(20), [1])
+        assert vec.tolist() == [float(count) for count in counts]
+        vec = warned_hom_vector([c3, c4], k(20), [])
+        assert vec.tolist() == [float(counts[0]), float(counts[2])]
 
     def test_counts_past_the_float64_range_raise(self):
         # hom(C256, K17) = 16**256 + 16 >= 2**1024, past the largest double
@@ -406,7 +435,12 @@ class TestDensities:
             walks = n * sum(math.comb(length, t) for t in steps if (2 * t - length) % n == 0)
             expected = walks / n**length  # int / int rounds correctly
             pattern = custom_pattern(cycle_graph(length))
-            [got] = self.DENSITY_ROUTES[route]([pattern], cycle_graph(n))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                [got] = self.DENSITY_ROUTES[route]([pattern], cycle_graph(n))
+            # the densities come from the rounded counts, which hom_vector names
+            rounds = route == "hom_vector" and float(walks) != walks
+            assert [str(w.message) for w in caught] == [rounding_message([0])] * rounds
             assert got == pytest.approx(expected, rel=1e-12) and (got > 0) == (walks > 0)
 
 
