@@ -1,13 +1,16 @@
 """Fingerprint the embeddings, fold results and trained weights of the fixed
 cross-validation workloads.
 
-Runs CSL/cycles:8, bipartite/{cycles:8, trees:6} and Paulus/{cycles:8,
-trees:6, trees:8} as 10x10 `cross_validate` at seed 0, once with training
-limited to one CPU and once to two. Paulus/trees:8 trains a (2, 189, 47)
-stack on the gathered rows, the one line on that path with more than 7
-features. All Paulus graphs share one embedding row, so every standardized
-feature is 0.0: the line covers the wide buffers and the bias, not how BLAS
-rounds a wide product. For each workload it prints one tab-separated line:
+Runs CSL/{cycles:8, cycles:32}, bipartite/{cycles:8, trees:6} and
+Paulus/{cycles:8, trees:6, trees:8} as 10x10 `cross_validate` at seed 0,
+once with training limited to one CPU and once to two. Paulus/trees:8 trains
+a (2, 189, 47) stack on the gathered rows, but all Paulus graphs share one
+embedding row, so every standardized feature is 0.0: the line covers the
+wide buffers and the bias, not how BLAS rounds a wide product. CSL/cycles:32
+does: it trains a (2, 135, 31) stack of real-valued standardized features
+with 10 distinct rows per fold on the gathered rows, above the width of
+about 30 features where BLAS rounds the two product layouts apart. For each
+workload it prints one tab-separated line:
 
 1. the workload;
 2. and 3. the sha256 of its fold accuracies (as float hex) and
@@ -42,7 +45,7 @@ when the first six columns match:
     python3 scripts/cv_identity.py | cut -f1-6 > ids.txt    # on each commit
     diff ids_before.txt ids_after.txt
 
-Run from the repository root; it takes about 15 seconds on two cores.
+Run from the repository root; it takes about 16 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from workloads import LABELED_FAMILIES, gen_labeled  # noqa: E402
 
 WORKLOADS = [
     ("csl", gen_csl, "cycles:8"),
+    ("csl", gen_csl, "cycles:32"),
     ("bipartite", gen_bipartite_er, "cycles:8"),
     ("bipartite", gen_bipartite_er, "trees:6"),
     ("paulus", load_paulus, "cycles:8"),

@@ -16,7 +16,7 @@ import numpy as np
 from . import datasets, embedding, evaluate
 from .graphs import FeaturedGraph
 from .hom import PhiFunction, _to_density, hom
-from .patterns import load_pattern_file, pattern_from_spec, resolve_family
+from .patterns import is_canonical_code, load_pattern_file, pattern_from_spec, resolve_family
 
 
 _FAMILY_HELP = "name:K with name in trees|cycles|stars|paths (e.g. trees:6), or file:PATH"
@@ -127,6 +127,7 @@ def _cmd_patterns(args) -> int:
                 "size": p.size,
                 "edges": [list(e) for e in p.graph.edges()],
                 "canonical_code": p.canonical_code,
+                "canonical": is_canonical_code(p.canonical_code),
             }
             for p in catalog
         ],

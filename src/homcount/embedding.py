@@ -8,7 +8,6 @@ across runs and platforms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -154,6 +153,8 @@ def write_embedding_csv(
 ) -> None:
     """CSV with `graph_id,label,<columns>` plus a JSON sidecar of column
     metadata and the resolved run configuration."""
+    import json  # only writers need it, so it loads on first use
+
     path = Path(path)
     header = ["graph_id", "label"] + column_names(m)
     lines = [",".join(header)]

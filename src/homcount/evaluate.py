@@ -12,7 +12,6 @@ import os
 import random
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence, Union
@@ -332,7 +331,9 @@ def _run_folds(
     occur) form one stack, cut into a slice per usable CPU but into no slice
     of fewer than `_MIN_SLICE_FOLDS` folds. The caller and a worker thread per
     further slice train them concurrently, as numpy releases the GIL in its
-    ufunc and BLAS calls. Standardizing and prediction stay on the caller.
+    ufunc and BLAS calls. A stack of one slice trains on the caller with no
+    executor, and `concurrent.futures` is imported only for two or more.
+    Standardizing and prediction stay on the caller.
     """
     labels = np.asarray(bundle.labels, dtype=np.int64)
     folds = [fold for repeat in splits for fold in repeat]
@@ -358,11 +359,16 @@ def _run_folds(
     cpus, trained = _usable_cpus(), {}
     train_start = time.perf_counter()
     for n, (x, y) in stacks.items():
-        cut = max(min(cpus, len(x) // _MIN_SLICE_FOLDS), 1)
-        slices = list(zip(np.array_split(x, cut), np.array_split(y, cut)))  # views of x, y
-        with ThreadPoolExecutor(max(cut - 1, 1)) as pool:  # starts no thread if unused
-            rest = [pool.submit(train, *xy) for xy in slices[1:]]
-            parts = [train(*slices[0])] + [future.result() for future in rest]
+        cut = min(cpus, len(x) // _MIN_SLICE_FOLDS)
+        if cut < 2:
+            parts = [train(x, y)]
+        else:  # the executor loads logging too, so it is imported only here
+            from concurrent.futures import ThreadPoolExecutor
+
+            slices = list(zip(np.array_split(x, cut), np.array_split(y, cut)))  # views of x, y
+            with ThreadPoolExecutor(cut - 1) as pool:
+                rest = [pool.submit(train, *xy) for xy in slices[1:]]
+                parts = [train(*slices[0])] + [future.result() for future in rest]
         w, b, ran, pairs = (np.concatenate(part) for part in zip(*parts))
         trained[n] = w, b, ran.tolist(), pairs.tolist()  # folds share their problem's ints
     train_seconds = time.perf_counter() - train_start

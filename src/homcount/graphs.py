@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -14,9 +15,14 @@ import numpy as np
 
 
 class Graph:
-    """Immutable simple undirected graph (no self-loops, no parallel edges)."""
+    """Immutable simple undirected graph (no self-loops, no parallel edges).
 
-    __slots__ = ("num_vertices", "adjacency", "neighbor_sets", "num_edges")
+    `adjacency[v]` is v's neighbours as a sorted tuple, the one neighbour
+    representation a graph holds. Loops that test many edges build their
+    own sets once per call.
+    """
+
+    __slots__ = ("num_vertices", "adjacency", "num_edges")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()):
         if num_vertices < 0:
@@ -31,7 +37,6 @@ class Graph:
             sets[v].add(u)
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(s)) for s in sets))
-        object.__setattr__(self, "neighbor_sets", tuple(frozenset(s) for s in sets))
         object.__setattr__(self, "num_edges", sum(len(s) for s in sets) // 2)
 
     def __setattr__(self, name, value):
@@ -44,7 +49,9 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
+        nbrs = self.adjacency[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -216,10 +223,11 @@ def _drop_vertices(g: Graph, weights: np.ndarray, drop: set[int]) -> tuple[Graph
 
 def _smallest_twin_pair(g: Graph) -> Optional[tuple[int, int]]:
     # Twins have equal open neighborhoods, which forces them non-adjacent.
-    by_nbhd: dict[frozenset[int], int] = {}
+    # A sorted neighbour tuple is already canonical, so it serves as the key.
+    by_nbhd: dict[tuple[int, ...], int] = {}
     best = None
     for v in range(g.num_vertices):
-        s = g.neighbor_sets[v]
+        s = g.adjacency[v]
         if s in by_nbhd:
             pair = (by_nbhd[s], v)
             if best is None or pair < best:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -144,7 +143,7 @@ def hom_brute(
     exact = weights is None
     w = [1] * ng if exact else list(weights)
     back_neighbors = [[u for u in fg.adjacency[v] if u < v] for v in range(nf)]
-    adj = g.neighbor_sets
+    adj = [set(a) for a in g.adjacency]  # set membership, built once per call
     image = [0] * nf
     total = 0
 
@@ -286,7 +285,7 @@ def _treedec_dp(
     kids = td.children
     tables: dict[int, dict[tuple[int, ...], object]] = {}
     bag_order = [tuple(sorted(bag)) for bag in td.bags]
-    amat = g.neighbor_sets
+    amat = [set(a) for a in g.adjacency]  # set membership, built once per call
 
     for t, kind in enumerate(td.node_kind):
         if kind == "leaf":
@@ -408,6 +407,8 @@ def _to_density(count: float, f: Graph, g: Graph) -> float:
     try:
         return count / float(size)
     except OverflowError:  # size is past the double range, the quotient need not be
+        from fractions import Fraction  # loads decimal too, so only on this path
+
         return float(Fraction(count) / size)
 
 

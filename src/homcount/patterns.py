@@ -131,7 +131,7 @@ def canonical_adjacency_code(g: Graph) -> str:
         perms = np.array([
             (first, *middle, *tail)
             for first in range(n) if g.degree(first) == delta
-            for middle in itertools.permutations(set(range(n)) - {first} - g.neighbor_sets[first])
+            for middle in itertools.permutations(set(range(n)) - {first} - set(g.adjacency[first]))
             for tail in itertools.permutations(g.adjacency[first])
         ])
         i, j = np.triu_indices(n, 1)  # row-major, as the bitstring reads
@@ -144,6 +144,13 @@ def canonical_adjacency_code(g: Graph) -> str:
         hist[c] = hist.get(c, 0) + 1
     sig = ";".join(f"{c}x{hist[c]}" for c in sorted(hist))
     return f"g{n}m{g.num_edges}:wl[{sig}]"
+
+
+def is_canonical_code(code: str) -> bool:
+    """False for the color-refinement signature `canonical_adjacency_code`
+    gives above 8 vertices, which non-isomorphic graphs can share; True for
+    AHU tree codes and searched adjacency codes."""
+    return ":wl[" not in code
 
 
 # ---------------------------------------------------------------------------

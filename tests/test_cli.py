@@ -22,10 +22,28 @@ class TestPatterns:
         assert len(payload["patterns"]) == 13
         assert {p["family"] for p in payload["patterns"]} == {"tree"}
         assert all("canonical_code" in p for p in payload["patterns"])
+        assert all(p["canonical"] for p in payload["patterns"])  # AHU codes are exact
 
     def test_colon_spec(self, capsys):
         assert main(["patterns", "--family", "cycles:8"]) == 0
         assert len(json.loads(capsys.readouterr().out)["patterns"]) == 7
+
+    def test_wl_signatures_are_not_canonical(self, capsys):
+        assert main(["patterns", "--family", "cycles:10"]) == 0
+        flags = {p["size"]: p["canonical"] for p in json.loads(capsys.readouterr().out)["patterns"]}
+        assert flags == {k: k <= 8 for k in range(2, 11)}  # C9 and C10 get a WL signature
+
+    def test_colliding_signature_is_not_canonical(self, tmp_path, capsys):
+        # C9 and three disjoint triangles: 9 vertices, 9 edges, all degree 2
+        c9 = "9\n" + "\n".join(f"{i} {(i + 1) % 9}" for i in range(9))
+        triangles = "9\n" + "\n".join(f"{3 * t + i} {3 * t + (i + 1) % 3}"
+                                        for t in range(3) for i in range(3))
+        path = tmp_path / "pats.txt"
+        path.write_text(c9 + "\n\n" + triangles + "\n")
+        assert main(["patterns", "--family", f"file:{path}"]) == 0
+        pats = json.loads(capsys.readouterr().out)["patterns"]
+        assert [p["canonical_code"] for p in pats] == ["g9m9:wl[0x9]"] * 2
+        assert [p["canonical"] for p in pats] == [False, False]
 
     def test_missing_size_is_data_error(self, capsys):
         assert main(["patterns", "--family", "trees"]) == 2

@@ -1,6 +1,7 @@
 import os
 import random
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,19 @@ class TestCSL:
 
     def test_determinism(self):
         assert gen_csl(seed=3).graphs == gen_csl(seed=3).graphs
+
+    def test_bundle_footprint(self):
+        # 150 graphs of 41 vertices: one sorted neighbour tuple per vertex.
+        # A frozenset copy of every neighbourhood took it to 1.84 MB.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bundle = gen_csl(seed=0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(bundle.graphs) == 150
+        assert held < 0.75 * 2**20
 
     def test_bad_skip_rejected(self):
         with pytest.raises(ValueError, match="skip"):

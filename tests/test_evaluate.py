@@ -1,6 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,27 @@ class TestCrossValidate:
         b = cross_validate(tiny_csl(), "cycles:8", k=5, seed=1, repeats=1)
         # different shuffles, same perfect separability
         assert a.mean == b.mean == 1.0
+
+
+class TestFootprint:
+    def test_optional_stdlib_loads_only_on_use(self):
+        # The thread pool (with logging), fractions (with decimal) and json
+        # serve paths a one-slice CV never takes, so they stay unloaded.
+        code = textwrap.dedent("""
+            import sys
+            import homcount.datasets, homcount.embedding, homcount.evaluate
+            from homcount.datasets import gen_csl
+            lazy = ("concurrent.futures", "fractions", "json")
+            print(sorted(m for m in lazy if m in sys.modules))
+            rep = homcount.evaluate.cross_validate(
+                gen_csl(copies_per_class=5, seed=0), "cycles:8", k=5, seed=0, repeats=2)
+            assert rep.config["trained_problems"] < homcount.evaluate._MIN_SLICE_FOLDS
+            print(sorted(m for m in lazy if m in sys.modules))
+        """)
+        src = str(Path(evaluate.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert out.splitlines() == ["[]", "[]"]
 
 
 class TestBench:

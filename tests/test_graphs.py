@@ -47,8 +47,9 @@ class TestBuild:
         edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if rng.random() < 0.4]
         g = Graph(8, edges)
         for u in range(g.num_vertices):
+            assert list(g.adjacency[u]) == sorted(set(g.adjacency[u]))  # sorted, no repeats
             for v in g.adjacency[u]:
-                assert u in g.neighbor_sets[v]
+                assert u in g.adjacency[v]
         assert g.num_edges * 2 == sum(len(a) for a in g.adjacency)
 
 
@@ -65,6 +66,7 @@ class TestAdjacencyMatrix:
         a = g.adjacency_matrix()
         assert a.dtype == np.int64 and a.shape == (n, n)
         assert np.array_equal(a, loop)
+        assert all(g.has_edge(u, v) == bool(a[u, v]) for u in range(n) for v in range(n))
 
 
 class TestPermute:
@@ -217,6 +219,6 @@ class TestTwinReduce:
             planted = Graph(n + 1, base + extra)
             weights = [[float(rng.randint(0, 3))] for _ in range(n + 1)]
             out = twin_reduce(FeaturedGraph.unchecked(planted, weights))
-            sets = out.graph.neighbor_sets
-            assert len(set(sets)) == len(sets), "twins remain after reduction"
+            nbhds = out.graph.adjacency
+            assert len(set(nbhds)) == len(nbhds), "twins remain after reduction"
             assert (out.features[:, 0] > 0).all()
