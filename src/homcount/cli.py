@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hom = sub.add_parser("hom", help="compute one homomorphism count")
     p_hom.add_argument("--pattern", required=True,
-                       help="edge | cycle:K | path:N | star:N | file:PATH[#i]")
+                       help="edge | cycle:K | path:N | star:N | kbip:A,B | file:PATH[#i]")
     p_hom.add_argument("--graph", required=True, help="graph file (n line, then 'u v' lines)")
     p_hom.add_argument("--weighted", action="store_true",
                        help="real-valued mode with unit vertex weights")

@@ -17,7 +17,7 @@ import numpy as np
 from .datasets import DatasetBundle, write_output
 from .graphs import FeaturedGraph
 from .hom import PhiFunction, _as_float, _classify, _count_row, _to_density
-from .patterns import Pattern, resolve_family
+from .patterns import Pattern, is_canonical_code, resolve_family
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,9 @@ def write_embedding_csv(
     config: Optional[dict] = None,
 ) -> None:
     """CSV with `graph_id,label,<columns>` plus a JSON sidecar of column
-    metadata and the resolved run configuration."""
+    metadata and the resolved run configuration. Each column's entry adds
+    `canonical`: false where its code is a signature that non-isomorphic
+    patterns can share (see `is_canonical_code`)."""
     import json  # only writers need it, so it loads on first use
 
     path = Path(path)
@@ -164,7 +166,10 @@ def write_embedding_csv(
     write_output(path, "\n".join(lines) + "\n")
     sidecar = {
         "dataset": bundle.name,
-        "columns": [asdict(c) for c in m.column_meta],
+        "columns": [
+            {**asdict(c), "canonical": is_canonical_code(c.canonical_code)}
+            for c in m.column_meta
+        ],
         "config": config or {},
     }
     sidecar_path = path.with_suffix(path.suffix + ".meta.json")

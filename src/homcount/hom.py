@@ -262,8 +262,16 @@ def hom_treedec(
     Tables map bag assignments to partial sums. The decomposition numbers
     its nodes bottom-up, so one pass in node order finds every child's table
     ready, and the last node, the root, holds the count. Introduce nodes
-    check pattern edges inside the bag, forget nodes sum a vertex out, join
-    nodes multiply matching assignments. Vertex weights are applied at the
+    extend each assignment by the new vertex v, forget nodes sum a vertex
+    out, join nodes multiply matching assignments. When v has a neighbour u
+    in the bag, its candidates are the target neighbours of u's image, and
+    only v's other bag edges are checked, so an introduce node costs about
+    |table|·Δ (Δ the maximum degree of G) instead of |table|·|V(G)|; a v
+    with no bag neighbour, the first vertex of a component, ranges over all
+    of V(G). Neighbour tuples are sorted, so candidates ascend as a scan of
+    V(G) would: every table is built in the same order, every forget and
+    join adds the same terms in the same order, and weighted counts keep
+    every bit of the full scan's. Vertex weights are applied at the
     forget step, the single point where each pattern vertex leaves scope, so
     no assignment is weighted twice and no division is needed at joins.
     """
@@ -310,11 +318,13 @@ def _treedec_dp(
             check = [
                 cbag.index(u) for u in fg.adjacency[v] if u in td.bags[child]
             ]
+            # Candidates ascend either way, which keeps every bit (see hom_treedec).
+            first, rest = (check[0], check[1:]) if check else (None, ())
             new: dict[tuple[int, ...], object] = {}
             for a, val in ctab.items():
-                for gv in range(ng):
+                for gv in range(ng) if first is None else g.adjacency[a[first]]:
                     ok = True
-                    for ci in check:
+                    for ci in rest:
                         if a[ci] not in amat[gv]:
                             ok = False
                             break

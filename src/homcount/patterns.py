@@ -24,7 +24,7 @@ MAX_TREE_CATALOG_SIZE = 12
 @dataclass(frozen=True)
 class Pattern:
     graph: Graph
-    family: str  # tree | cycle | star | path | custom
+    family: str  # tree | cycle | star | path | kbip | custom
     size: int
     canonical_code: str
 
@@ -184,6 +184,12 @@ def _cycle_pattern(k: int) -> Pattern:
 def _star_pattern(size: int) -> Pattern:
     g = star_graph(size - 1)
     return Pattern(g, "star", size, canonical_tree_code(g))
+
+
+def _kbip_pattern(a: int, b: int) -> Pattern:
+    """K_{a,b}: vertices 0..a-1 on one side, a..a+b-1 on the other."""
+    g = Graph(a + b, ((i, a + j) for i in range(a) for j in range(b)))
+    return Pattern(g, "kbip", a + b, canonical_adjacency_code(g))
 
 
 def enumerate_trees(max_size: int) -> list[Pattern]:
@@ -524,10 +530,12 @@ def resolve_family(spec: str) -> list[Pattern]:
 
 
 def pattern_from_spec(spec: str) -> Pattern:
-    """One pattern from `edge`, `cycle:K`, `path:N`, `star:N` or `file:PATH[#i]`.
+    """One pattern from `edge`, `cycle:K`, `path:N`, `star:N`, `kbip:A,B` or
+    `file:PATH[#i]`.
 
     Shapes are built as in the catalogs, so `cycle:5` equals the C5 entry of
-    `enumerate_cycles` and `edge` is their P2. `file:PATH#i` takes block i
+    `enumerate_cycles` and `edge` is their P2. `kbip:A,B` is the complete
+    bipartite graph K_{A,B}, with A, B >= 1. `file:PATH#i` takes block i
     (default 0) of a custom pattern file.
     """
     name, _, arg = spec.partition(":")
@@ -538,6 +546,12 @@ def pattern_from_spec(spec: str) -> Pattern:
     if name in shapes:
         build, least = shapes[name]
         return build(_spec_int(spec, arg, least=least))
+    if name == "kbip":
+        left, comma, right = arg.partition(",")
+        if not comma:
+            raise ValueError(f"spec {spec!r} needs two part sizes A,B")
+        a, b = (_spec_int(spec, x, "part size", least=1) for x in (left, right))
+        return _kbip_pattern(a, b)
     if name == "file":
         path, _, index = arg.partition("#")
         i = _spec_int(spec, index, "block index") if index else 0

@@ -69,6 +69,60 @@ def reference_train(x, y, num_classes, hyper=Hyper()):
     return w, b, hyper.epochs
 
 
+def reference_treedec(fg: Graph, td, g: Graph, weights=None):
+    """Oracle decomposition DP: every introduce node scans all of V(G).
+
+    The library's DP takes an introduced vertex's candidates from the
+    target neighbours of a bag neighbour's image. Candidates ascend either
+    way, so its tables, and every weighted sum, equal this scan's bit for
+    bit. Returns the raw total: an int unweighted, a float weighted.
+    """
+    ng = g.num_vertices
+    exact = weights is None
+    w = [1] * ng if exact else list(weights)
+    one = 1 if exact else 1.0
+    kids = td.children
+    tables = {}
+    bag_order = [tuple(sorted(bag)) for bag in td.bags]
+    amat = [set(a) for a in g.adjacency]
+    for t, kind in enumerate(td.node_kind):
+        if kind == "leaf":
+            tables[t] = {(): one}
+            continue
+        if kind == "join":
+            left = tables.pop(kids[t][0])
+            right = tables.pop(kids[t][1])
+            if len(left) > len(right):
+                left, right = right, left
+            tables[t] = {a: lv * right[a] for a, lv in left.items() if a in right}
+            continue
+        child = kids[t][0]
+        ctab = tables.pop(child)
+        cbag = bag_order[child]
+        nbag = bag_order[t]
+        new = {}
+        if kind == "introduce":
+            (v,) = set(nbag) - set(cbag)
+            pos = nbag.index(v)
+            check = [cbag.index(u) for u in fg.adjacency[v] if u in td.bags[child]]
+            for a, val in ctab.items():
+                for gv in range(ng):
+                    if all(a[ci] in amat[gv] for ci in check):
+                        new[a[:pos] + (gv,) + a[pos:]] = val
+        else:  # forget
+            (v,) = set(cbag) - set(nbag)
+            pos = cbag.index(v)
+            for a, val in ctab.items():
+                gv = a[pos]
+                key = a[:pos] + a[pos + 1 :]
+                if key in new:
+                    new[key] += val * w[gv]
+                else:
+                    new[key] = val * w[gv]
+        tables[t] = new
+    return tables[len(td.bags) - 1].get((), 0 if exact else 0.0)
+
+
 def random_simple_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)

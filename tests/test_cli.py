@@ -59,6 +59,13 @@ class TestHom:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == 6 and payload["mode"] == "exact"
 
+    def test_complete_bipartite(self, k3_file, capsys):
+        # K_{1,2} into K3: the star closed form, the sum of deg(v)^2 = 3 * 2^2
+        assert main(["hom", "--pattern", "kbip:1,2", "--graph", k3_file]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 12
+        assert main(["hom", "--help"]) == 0
+        assert "kbip:A,B" in capsys.readouterr().out
+
     def test_density(self, k3_file, capsys):
         assert main(["hom", "--pattern", "edge", "--graph", k3_file, "--density"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -304,7 +311,7 @@ class TestExitCodes:
         "flag, spec",
         [("--pattern", "cycle"), ("--pattern", "cycle:x"), ("--pattern", "path:0"),
          ("--pattern", "star:0"), ("--pattern", "cycle:2"), ("--pattern", "file:{k3}#x"),
-         ("--family", "trees:x")],
+         ("--pattern", "kbip:0,3"), ("--pattern", "kbip:3"), ("--family", "trees:x")],
     )
     def test_bad_spec_is_named(self, k3_file, flag, spec, capsys):
         spec = spec.format(k3=k3_file)

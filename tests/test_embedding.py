@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -177,6 +178,22 @@ class TestCsvOutput:
         assert sidecar["config"]["seed"] == 0
         assert len(sidecar["columns"]) == 7
         assert len(column_names(m)) == 7
+
+    @pytest.mark.parametrize(
+        "family, flags",
+        [("cycles:9", [True] * 7 + [False]),  # C9's code is a WL signature
+         ("trees:5", [True] * 7)],
+    )
+    def test_sidecar_flags_canonical_codes(self, tmp_path, family, flags):
+        bundle = small_bundle()
+        m = embed(bundle, family)
+        write_embedding_csv(m, bundle, tmp_path / "emb.csv")
+        columns = json.loads((tmp_path / "emb.csv.meta.json").read_text())["columns"]
+        assert [c["canonical"] for c in columns] == flags
+        # The flag lives in the sidecar only, so `ColumnMeta` is unchanged.
+        assert [{k: v for k, v in c.items() if k != "canonical"} for c in columns] == [
+            asdict(c) for c in m.column_meta
+        ]
 
     def test_cells_read_back_exactly(self, tmp_path):
         bundle = small_bundle()

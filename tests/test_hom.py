@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_hom, random_connected_graph, random_simple_graph
-from homcount.datasets import DatasetBundle
+from conftest import naive_hom, random_connected_graph, random_simple_graph, reference_treedec
+from homcount.datasets import DatasetBundle, load_paulus
 from homcount.embedding import embed
 from homcount.graphs import FeaturedGraph, Graph, disjoint_union, is_bipartite, permute
 from homcount.hom import (
@@ -19,6 +19,7 @@ from homcount.hom import (
     HomValue,
     PhiFunction,
     _as_float,
+    _treedec_dp,
     _walk_traces,
     hom,
     hom_brute,
@@ -37,6 +38,7 @@ from homcount.patterns import (
     enumerate_trees,
     nice_decomposition,
     path_graph,
+    pattern_from_spec,
     star_graph,
 )
 
@@ -385,6 +387,104 @@ class TestTreewidthAlgorithm:
         td = nice_decomposition(custom_pattern(cycle_graph(4)))
         with pytest.raises(ValueError):
             hom_treedec(cycle_graph(5), td, k(3))
+
+
+# K4 (treewidth 3), three patterns whose decompositions hold a join node,
+# disconnected patterns (each component starts at an introduce node with no
+# bag neighbour), and the cycles C3..C8.
+NON_TREES = {
+    "K4": k(4),
+    "diamond": Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "bowtie": Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    "banner": Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)]),
+}
+DISCONNECTED = {
+    "K1+C4": disjoint_union(Graph(1), cycle_graph(4)),
+    "P2+C3": disjoint_union(path_graph(2), cycle_graph(3)),
+    "C3+C3": disjoint_union(cycle_graph(3), cycle_graph(3)),
+    "diamond+P2": disjoint_union(NON_TREES["diamond"], path_graph(2)),
+}
+DP_PATTERNS = {**NON_TREES, **DISCONNECTED, **{f"C{n}": cycle_graph(n) for n in range(3, 9)}}
+
+
+@st.composite
+def two_feature_targets(draw):
+    """A graph on 0-8 vertices with two feature columns: a 0/1 label
+    column, as one-hot labels give, and a real one in [0, 1]."""
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    labels = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    reals = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    x = np.array([labels, reals]).T.reshape(n, 2)
+    return FeaturedGraph(Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]), x)
+
+
+class TestDecompositionDPMatchesReference:
+    """The decomposition DP against `reference_treedec`, its full-scan
+    form: exact counts equal as ints, weighted ones to the last bit."""
+
+    def test_the_patterns_cover_joins_and_loose_introduces(self):
+        for name in ("diamond", "bowtie", "banner"):
+            assert "join" in nice_decomposition(custom_pattern(NON_TREES[name])).node_kind
+        for f in DISCONNECTED.values():
+            td = nice_decomposition(custom_pattern(f))
+            loose = 0
+            for t, kind in enumerate(td.node_kind):
+                if kind == "introduce":
+                    below = td.bags[td.children[t][0]]
+                    (v,) = td.bags[t] - below
+                    loose += not any(u in below for u in f.adjacency[v])
+            assert loose >= 2  # one per component at least
+
+    @pytest.mark.parametrize("name", list(DP_PATTERNS))
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(target=two_feature_targets(), coef=st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+    def test_bits_match_the_full_scan(self, name, target, coef):
+        f = DP_PATTERNS[name]
+        td = nice_decomposition(custom_pattern(f))
+        g = target.graph
+        exact = _treedec_dp(f, td, g, None)
+        assert type(exact) is int and exact == reference_treedec(f, td, g)
+        for phi in (PhiFunction.coordinate(0), PhiFunction.coordinate(1),
+                    PhiFunction.affine(coef[:2], coef[2])):
+            weights = [phi(row) for row in target.features]
+            got = _treedec_dp(f, td, g, weights)
+            assert got.hex() == reference_treedec(f, td, g, weights).hex(), phi.label()
+
+
+class TestCompleteBipartite:
+    def test_one_side_of_one_is_the_star_closed_form(self):
+        rng = random.Random(59)
+        for _ in range(8):
+            g = random_simple_graph(rng, rng.randint(1, 9), 0.5)
+            for b in range(1, 6):
+                want = sum(g.degree(v) ** b for v in range(g.num_vertices))
+                assert hom(pattern_from_spec(f"kbip:1,{b}"), g).value == want
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+    def test_small_cases_against_brute(self, a, b):
+        rng = random.Random(61 + 10 * a + b)
+        f = pattern_from_spec(f"kbip:{a},{b}")
+        for _ in range(4):
+            g = random_simple_graph(rng, rng.randint(1, 7), 0.6)
+            assert hom(f, g).value == hom_brute(f.graph, g).value
+
+
+class TestIndistinguishabilityDependsOnTreewidth:
+    def test_kbip_three_three_separates_the_paulus_classes(self):
+        # Counts of all patterns of treewidth <= k pin a graph down to k-WL
+        # equivalence (Dvorak; Dell, Grohe and Rattan). The Paulus graphs are
+        # strongly regular with equal parameters, so 2-WL cannot tell them
+        # apart: trees (width 1) and cycles (width 2) give one row for all
+        # 14 classes, while K3,3 (width 3) gives 14 distinct counts.
+        bundle = load_paulus(copies_per_class=1, seed=0)
+        assert sorted(bundle.labels) == list(range(14))
+        for family in ("trees:6", "cycles:8"):
+            rows = embed(bundle, family).values
+            assert (rows == rows[0]).all(), family
+        k33 = pattern_from_spec("kbip:3,3")
+        assert len({hom(k33, g).value for g in bundle.graphs}) == 14
 
 
 class TestDensities:

@@ -325,3 +325,23 @@ class TestPatternFromSpec:
     def test_equals_catalog_entry(self, spec, family, index):
         # Pattern equality covers graph, family, size and canonical code.
         assert pattern_from_spec(spec) == resolve_family(family)[index]
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 4), (2, 3), (3, 3)])
+    def test_complete_bipartite(self, a, b):
+        p = pattern_from_spec(f"kbip:{a},{b}")
+        assert (p.family, p.size, p.graph.num_edges) == ("kbip", a + b, a * b)
+        assert sorted(p.graph.edges()) == [(i, a + j) for i in range(a) for j in range(b)]
+        assert p.canonical_code == canonical_adjacency_code(p.graph)
+
+    def test_kbip_three_three_has_treewidth_three(self):
+        assert treewidth_exact(pattern_from_spec("kbip:3,3").graph)[0] == 3
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("kbip:0,3", "part size of at least 1"), ("kbip:3,0", "part size of at least 1"),
+         ("kbip:3", "two part sizes"), ("kbip:x,3", "integer part size")],
+    )
+    def test_bad_kbip_is_named(self, spec, message):
+        with pytest.raises(ValueError, match=message) as err:
+            pattern_from_spec(spec)
+        assert repr(spec) in str(err.value)
