@@ -34,10 +34,16 @@ change in summation order. The next two lines therefore embed
 once with cycles:6 and once with the custom non-tree patterns K4, the
 diamond, the bowtie and the banner.
 
-The last line gives column 4 for 20 seeded dense graphs, G(n, 0.9) with
+The next line gives column 4 for 20 seeded dense graphs, G(n, 0.9) with
 n from 40 to 60, under cycles:14. Every one of their chains of adjacency
 powers passes both the 2**53 and the 2**62 bound before A^14, which no
 other line reaches.
+
+The last line gives column 4 for one Paulus graph per class (14 strongly
+regular graphs on 25 vertices) under the single pattern kbip:3,3, K3,3,
+the treewidth-3 pattern that separates them where trees and cycles do not.
+It is the one line that runs the decomposition DP at width 3 on dense
+graphs, and it takes about 8 seconds of the run.
 
 Two commits give the same embeddings, fold results and weights exactly
 when the first six columns match:
@@ -45,7 +51,7 @@ when the first six columns match:
     python3 scripts/cv_identity.py | cut -f1-6 > ids.txt    # on each commit
     diff ids_before.txt ids_after.txt
 
-Run from the repository root; it takes about 16 seconds on two cores.
+Run from the repository root; it takes about 30 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -164,6 +170,8 @@ def main() -> None:
         print("\t".join([f"labeled-affine/{name}", "-", "-", digest, "-", "-"]), flush=True)
     digest = embedding_digest(dense_graphs(), "cycles:14")
     print("\t".join(["dense/cycles:14", "-", "-", digest, "-", "-"]), flush=True)
+    digest = embedding_digest(load_paulus(copies_per_class=1, seed=0), "kbip:3,3")
+    print("\t".join(["paulus14/kbip:3,3", "-", "-", digest, "-", "-"]), flush=True)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ from .hom import PhiFunction, _to_density, hom
 from .patterns import is_canonical_code, load_pattern_file, pattern_from_spec, resolve_family
 
 
-_FAMILY_HELP = "name:K with name in trees|cycles|stars|paths (e.g. trees:6), or file:PATH"
+_SPEC_HELP = ("a catalog trees:K | cycles:K | stars:K | paths:K, one pattern edge | cycle:K | "
+              "path:N | star:N | kbip:A,B, or file:PATH (every block) | file:PATH#i (block i); "
+              "--pattern takes a spec that names one pattern")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,12 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_pat = sub.add_parser("patterns", help="print a pattern catalog as JSON")
-    p_pat.add_argument("--family", required=True, help=_FAMILY_HELP)
+    p_pat.add_argument("--family", required=True, help=_SPEC_HELP)
     p_pat.add_argument("--out", default=None)
 
     p_hom = sub.add_parser("hom", help="compute one homomorphism count")
-    p_hom.add_argument("--pattern", required=True,
-                       help="edge | cycle:K | path:N | star:N | kbip:A,B | file:PATH[#i]")
+    p_hom.add_argument("--pattern", required=True, help=_SPEC_HELP)
     p_hom.add_argument("--graph", required=True, help="graph file (n line, then 'u v' lines)")
     p_hom.add_argument("--weighted", action="store_true",
                        help="real-valued mode with unit vertex weights")
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--dataset", help="TU-format directory")
         group.add_argument("--generate", choices=["csl", "bipartite", "paulus"])
         p.add_argument("--name", default=None, help="dataset name if ambiguous")
-        p.add_argument("--family", required=True, help=_FAMILY_HELP)
+        p.add_argument("--family", required=True, help=_SPEC_HELP)
         p.add_argument("--phi", choices=["auto", "constant"], default="auto")
         p.add_argument("--density", action="store_true")
         p.add_argument("--seed", type=int, default=0)

@@ -171,25 +171,11 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
-def _path_pattern(size: int) -> Pattern:
-    g = path_graph(size)
-    return Pattern(g, "path", size, canonical_tree_code(g))
-
-
-def _cycle_pattern(k: int) -> Pattern:
-    g = cycle_graph(k)
-    return Pattern(g, "cycle", k, canonical_adjacency_code(g))
-
-
-def _star_pattern(size: int) -> Pattern:
-    g = star_graph(size - 1)
-    return Pattern(g, "star", size, canonical_tree_code(g))
-
-
-def _kbip_pattern(a: int, b: int) -> Pattern:
-    """K_{a,b}: vertices 0..a-1 on one side, a..a+b-1 on the other."""
-    g = Graph(a + b, ((i, a + j) for i in range(a) for j in range(b)))
-    return Pattern(g, "kbip", a + b, canonical_adjacency_code(g))
+def _pattern(g: Graph, family: str) -> Pattern:
+    """The one rule for a pattern's code, read from its graph alone: the AHU
+    code for a tree, the adjacency code otherwise."""
+    code = canonical_tree_code(g) if _is_tree(g) else canonical_adjacency_code(g)
+    return Pattern(g, family, g.num_vertices, code)
 
 
 def enumerate_trees(max_size: int) -> list[Pattern]:
@@ -232,25 +218,27 @@ def enumerate_cycles(max_size: int) -> list[Pattern]:
     """
     if max_size < 3:
         raise ValueError("max_size must be at least 3")
-    return [_path_pattern(2)] + [_cycle_pattern(k) for k in range(3, max_size + 1)]
+    return [_pattern(path_graph(2), "path")] + [
+        _pattern(cycle_graph(k), "cycle") for k in range(3, max_size + 1)
+    ]
 
 
 def enumerate_stars(max_size: int) -> list[Pattern]:
     """Stars S_1..S_{max_size-1} (sizes 2..max_size)."""
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    return [_star_pattern(size) for size in range(2, max_size + 1)]
+    return [_pattern(star_graph(leaves), "star") for leaves in range(1, max_size)]
 
 
 def enumerate_paths(max_size: int) -> list[Pattern]:
     """Paths P2..P_{max_size} (sizes 2..max_size)."""
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    return [_path_pattern(size) for size in range(2, max_size + 1)]
+    return [_pattern(path_graph(size), "path") for size in range(2, max_size + 1)]
 
 
 def custom_pattern(g: Graph) -> Pattern:
-    return Pattern(g, "custom", g.num_vertices, canonical_adjacency_code(g))
+    return _pattern(g, "custom")
 
 
 # ---------------------------------------------------------------------------
@@ -511,52 +499,59 @@ def _spec_int(spec: str, text: str, what: str = "size", least: Optional[int] = N
 
 
 def resolve_family(spec: str) -> list[Pattern]:
-    """Parse a family spec `name:K` ('trees:6', 'cycles:8', 'stars:4',
-    'paths:5') or `file:PATH`, which loads custom patterns from the block
-    format."""
-    name, _, arg = spec.partition(":")
-    name = name.lower()
-    builders = {
-        "trees": enumerate_trees,
-        "cycles": enumerate_cycles,
-        "stars": enumerate_stars,
-        "paths": enumerate_paths,
-    }
-    if name in builders:
-        return builders[name](_spec_int(spec, arg))
-    if name == "file":
-        return [custom_pattern(g) for g in load_pattern_file(arg)]
-    raise ValueError(f"unknown pattern family {spec!r}")
+    """The patterns a spec names, in catalog order. The one spec grammar:
 
+    - a family `trees:K`, `cycles:K`, `stars:K` or `paths:K`, the
+      `enumerate_*` catalog up to K vertices;
+    - one pattern `edge`, `cycle:K` (K >= 3), `path:N` or `star:N` (N >= 1
+      vertices), or `kbip:A,B`, the complete bipartite K_{A,B} (A, B >= 1).
+      Shapes are built as in the catalogs: `cycle:5` is the C5 entry of
+      `cycles:5`, and `edge` is their P2;
+    - `file:PATH`, every block of a custom pattern file, or `file:PATH#i`,
+      its block i.
 
-def pattern_from_spec(spec: str) -> Pattern:
-    """One pattern from `edge`, `cycle:K`, `path:N`, `star:N`, `kbip:A,B` or
-    `file:PATH[#i]`.
-
-    Shapes are built as in the catalogs, so `cycle:5` equals the C5 entry of
-    `enumerate_cycles` and `edge` is their P2. `kbip:A,B` is the complete
-    bipartite graph K_{A,B}, with A, B >= 1. `file:PATH#i` takes block i
-    (default 0) of a custom pattern file.
+    A spec that names no pattern, such as a file of blank lines, raises.
     """
     name, _, arg = spec.partition(":")
     name = name.lower()
     if name == "edge":
-        return _path_pattern(2)
-    shapes = {"cycle": (_cycle_pattern, 3), "path": (_path_pattern, 1), "star": (_star_pattern, 1)}
-    if name in shapes:
+        name, arg = "path", "2"
+    catalogs = {"trees": enumerate_trees, "cycles": enumerate_cycles,
+                "stars": enumerate_stars, "paths": enumerate_paths}
+    shapes = {"cycle": (cycle_graph, 3), "path": (path_graph, 1),
+              "star": (lambda n: star_graph(n - 1), 1)}
+    if name in catalogs:
+        patterns = catalogs[name](_spec_int(spec, arg))
+    elif name in shapes:
         build, least = shapes[name]
-        return build(_spec_int(spec, arg, least=least))
-    if name == "kbip":
+        patterns = [_pattern(build(_spec_int(spec, arg, least=least)), name)]
+    elif name == "kbip":
         left, comma, right = arg.partition(",")
         if not comma:
             raise ValueError(f"spec {spec!r} needs two part sizes A,B")
         a, b = (_spec_int(spec, x, "part size", least=1) for x in (left, right))
-        return _kbip_pattern(a, b)
-    if name == "file":
-        path, _, index = arg.partition("#")
-        i = _spec_int(spec, index, "block index") if index else 0
+        # vertices 0..a-1 on one side, a..a+b-1 on the other
+        patterns = [_pattern(Graph(a + b, ((i, a + j) for i in range(a) for j in range(b))), name)]
+    elif name == "file":
+        path, block, index = arg.partition("#")
         graphs = load_pattern_file(path)
-        if not 0 <= i < len(graphs):
-            raise ValueError(f"pattern index {i} out of range: {path} holds {len(graphs)} blocks")
-        return custom_pattern(graphs[i])
-    raise ValueError(f"unknown pattern spec {spec!r}")
+        if block:
+            i = _spec_int(spec, index, "block index")
+            if not 0 <= i < len(graphs):
+                raise ValueError(f"pattern index {i} out of range: {path} has {len(graphs)} blocks")
+            graphs = graphs[i : i + 1]
+        patterns = [custom_pattern(g) for g in graphs]
+    else:
+        raise ValueError(f"unknown pattern family {spec!r}")
+    if not patterns:
+        raise ValueError(f"spec {spec!r} names no pattern")
+    return patterns
+
+
+def pattern_from_spec(spec: str) -> Pattern:
+    """The one pattern `resolve_family(spec)` names; a spec that names more,
+    such as `file:PATH` on a file of several blocks, raises."""
+    patterns = resolve_family(spec)
+    if len(patterns) != 1:
+        raise ValueError(f"spec {spec!r} names {len(patterns)} patterns, where one is needed")
+    return patterns[0]

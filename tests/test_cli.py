@@ -48,6 +48,11 @@ class TestPatterns:
     def test_missing_size_is_data_error(self, capsys):
         assert main(["patterns", "--family", "trees"]) == 2
 
+    def test_single_pattern_spec(self, capsys):
+        assert main(["patterns", "--family", "kbip:3,3"]) == 0
+        pats = json.loads(capsys.readouterr().out)["patterns"]
+        assert [(p["family"], p["size"], len(p["edges"])) for p in pats] == [("kbip", 6, 9)]
+
     def test_unknown_family_is_named(self, capsys):
         assert main(["patterns", "--family", "bogus"]) == 2
         assert "unknown pattern family 'bogus'" in capsys.readouterr().err
@@ -63,8 +68,9 @@ class TestHom:
         # K_{1,2} into K3: the star closed form, the sum of deg(v)^2 = 3 * 2^2
         assert main(["hom", "--pattern", "kbip:1,2", "--graph", k3_file]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 12
-        assert main(["hom", "--help"]) == 0
-        assert "kbip:A,B" in capsys.readouterr().out
+        for command in ("hom", "eval"):
+            assert main([command, "--help"]) == 0
+            assert "kbip:A,B" in capsys.readouterr().out
 
     def test_density(self, k3_file, capsys):
         assert main(["hom", "--pattern", "edge", "--graph", k3_file, "--density"]) == 0
@@ -104,6 +110,17 @@ class TestHom:
         spec = f"file:{k3_file}#{index}"
         assert main(["hom", "--pattern", spec, "--graph", k3_file]) == 2
         assert f"pattern index {index} out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suffix, message", [("", "names 2 patterns"), ("#", "integer block index, got ''")]
+    )
+    def test_several_pattern_blocks_need_an_index(self, k3_file, tmp_path, suffix, message, capsys):
+        # P3, then K3: this counted block 0, P3, and printed 12
+        path = tmp_path / "pats.txt"
+        path.write_text("3\n0 1\n1 2\n\n3\n0 1\n1 2\n2 0\n")
+        assert main(["hom", "--pattern", f"file:{path}{suffix}", "--graph", k3_file]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: spec 'file:{path}{suffix}'") and message in err
 
     @pytest.mark.parametrize("density, value", [([], 1), (["--density"], 1.0)])
     def test_empty_pattern_counts_one(self, k3_file, tmp_path, density, value, capsys):
@@ -168,6 +185,12 @@ class TestGenEvalPipeline:
         # each fold trains on 4 copies of each class in index order: one problem
         assert report["config"]["trained_problems"] == 1
         assert report["config"]["epochs_run"] == [Hyper().epochs] * 10
+
+    def test_eval_on_one_pattern(self, capsys):
+        argv = ["eval", "--generate", "csl", "--family", "kbip:1,2",
+                "--k", "2", "--repeats", "1", "--epochs", "5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("CSL kbip:1,2: mean=")
 
     def test_pipe_equals_generate_path(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -301,6 +324,16 @@ class TestExitCodes:
 
     def test_missing_dataset_dir(self, capsys):
         assert main(["eval", "--dataset", "/nope", "--family", "cycles:8"]) == 2
+
+    def test_spec_naming_no_pattern(self, tmp_path, capsys):
+        # a 150x0 embedding used to train and report mean=0.0933
+        path = tmp_path / "empty.txt"
+        path.write_text("\n\n")
+        argv = ["eval", "--generate", "csl", "--family", f"file:{path}",
+                "--k", "2", "--repeats", "1", "--epochs", "3"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: spec 'file:{path}' names no pattern\n"
 
     def test_k_larger_than_dataset(self, capsys):
         code = main(["eval", "--generate", "csl", "--family", "cycles:4", "--k", "200"])

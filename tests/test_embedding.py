@@ -17,6 +17,7 @@ from homcount.embedding import (
 )
 from homcount.graphs import Graph, degree_sequence, disjoint_union, permute
 from homcount.hom import PhiFunction
+from homcount.patterns import pattern_from_spec
 from conftest import FIXTURES
 
 
@@ -38,6 +39,13 @@ class TestDimensions:
     def test_cycle_eight_gives_seven_columns(self):
         m = embed(small_bundle(), "cycles:8")
         assert m.values.shape == (4, 7)
+
+    def test_single_pattern_spec_is_one_column(self):
+        # K3,3 is the treewidth-3 pattern that separates the Paulus classes
+        m = embed(small_bundle(), "kbip:3,3")
+        by_pattern = embed(small_bundle(), [pattern_from_spec("kbip:3,3")])
+        assert m.values.shape == (4, 1)
+        assert m.values.tobytes() == by_pattern.values.tobytes()
 
     def test_phi_set_multiplies_columns(self):
         bundle = parse_tud(FIXTURES / "TOY", "TOY")

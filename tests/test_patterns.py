@@ -3,14 +3,17 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_isomorphic, random_connected_graph, random_simple_graph
-from homcount.graphs import Graph
+from homcount.graphs import Graph, permute
 from homcount.patterns import (
     TreeDecomposition,
     build_nice_decomposition,
     canonical_adjacency_code,
     canonical_tree_code,
+    custom_pattern,
     cycle_graph,
     enumerate_cycles,
     enumerate_paths,
@@ -325,13 +328,23 @@ class TestPatternFromSpec:
     def test_equals_catalog_entry(self, spec, family, index):
         # Pattern equality covers graph, family, size and canonical code.
         assert pattern_from_spec(spec) == resolve_family(family)[index]
+        assert resolve_family(spec) == [pattern_from_spec(spec)]
+
+    @pytest.mark.parametrize("spec", ["kbip:3,3", "file:{path}#1"])
+    def test_single_pattern_is_a_catalog_of_one(self, tmp_path, spec):
+        path = tmp_path / "pats.txt"
+        path.write_text("3\n0 1\n1 2\n\n4\n0 1\n0 2\n0 3\n")
+        spec = spec.format(path=path)
+        assert resolve_family(spec) == [pattern_from_spec(spec)]
 
     @pytest.mark.parametrize("a, b", [(1, 1), (1, 4), (2, 3), (3, 3)])
     def test_complete_bipartite(self, a, b):
         p = pattern_from_spec(f"kbip:{a},{b}")
         assert (p.family, p.size, p.graph.num_edges) == ("kbip", a + b, a * b)
         assert sorted(p.graph.edges()) == [(i, a + j) for i in range(a) for j in range(b)]
-        assert p.canonical_code == canonical_adjacency_code(p.graph)
+        # K_{1,B} is a star, so it gets the tree code, as every tree does
+        code = canonical_tree_code if a == 1 else canonical_adjacency_code
+        assert p.canonical_code == code(p.graph)
 
     def test_kbip_three_three_has_treewidth_three(self):
         assert treewidth_exact(pattern_from_spec("kbip:3,3").graph)[0] == 3
@@ -345,3 +358,49 @@ class TestPatternFromSpec:
         with pytest.raises(ValueError, match=message) as err:
             pattern_from_spec(spec)
         assert repr(spec) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "suffix, message", [("", "names 2 patterns"), ("#", "integer block index, got ''")]
+    )
+    def test_several_blocks_need_an_index(self, tmp_path, suffix, message):
+        # P3, then K3: block 0 used to be taken without a word
+        path = tmp_path / "pats.txt"
+        path.write_text("3\n0 1\n1 2\n\n3\n0 1\n1 2\n2 0\n")
+        spec = f"file:{path}{suffix}"
+        with pytest.raises(ValueError, match=message) as err:
+            pattern_from_spec(spec)
+        assert repr(spec) in str(err.value)
+        path.write_text("3\n0 1\n1 2\n")
+        assert pattern_from_spec(f"file:{path}") == custom_pattern(path_graph(3))
+
+    def test_spec_naming_no_pattern_raises(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n\n\n")
+        spec = f"file:{path}"
+        with pytest.raises(ValueError, match="names no pattern") as err:
+            resolve_family(spec)
+        assert repr(spec) in str(err.value)
+
+
+@st.composite
+def relabelled_trees(draw):
+    """A tree on 1-14 vertices, each vertex i > 0 joined to an earlier one,
+    and a permutation of its vertices."""
+    n = draw(st.integers(1, 14))
+    tree = Graph(n, [(i, draw(st.integers(0, i - 1))) for i in range(1, n)])
+    return tree, draw(st.permutations(range(n)))
+
+
+class TestCodeIsReadFromTheGraph:
+    def test_one_star_one_code(self, tmp_path):
+        path = tmp_path / "star.txt"
+        path.write_text("4\n0 1\n0 2\n0 3\n")
+        specs = ["star:4", "kbip:1,3", f"file:{path}"]
+        assert {pattern_from_spec(spec).canonical_code for spec in specs} == {"(()()())"}
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=relabelled_trees())
+    @example(case=(path_graph(12), list(range(12))[::-1]))  # past the 8-vertex search
+    def test_trees_get_the_tree_code_at_any_size(self, case):
+        tree, sigma = case
+        assert custom_pattern(permute(tree, sigma)).canonical_code == canonical_tree_code(tree)
