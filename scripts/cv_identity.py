@@ -39,11 +39,25 @@ n from 40 to 60, under cycles:14. Every one of their chains of adjacency
 powers passes both the 2**53 and the 2**62 bound before A^14, which no
 other line reaches.
 
-The last line gives column 4 for one Paulus graph per class (14 strongly
+The next line gives column 4 for one Paulus graph per class (14 strongly
 regular graphs on 25 vertices) under the single pattern kbip:3,3, K3,3,
 the treewidth-3 pattern that separates them where trees and cycles do not.
 It is the one line that runs the decomposition DP at width 3 on dense
 graphs, and it takes about 8 seconds of the run.
+
+The last line, `codes`, gives in column 4 the sha256 of the canonical
+codes alone: those of cycles:32 and kbip:3,3, of the four custom non-trees
+above, of C9 and three disjoint triangles, and of one Paulus graph per
+class. Every other line hashes the codes with the values, so a change
+that moves codes but no count shows on this line and on the lines whose
+catalog holds a moved code.
+
+Lines that moved by design: the exact codes from the
+individualization-refinement search (every size, in place of the 8-vertex
+search and a colour-refinement signature above it) moved column 4 of
+csl/cycles:32 and dense/cycles:14, whose C9 to C32 and C9 to C14 used to
+read `g{k}m{k}:wl[0x{k}]`. Every count, C3 to C8, K3,3, every tree and
+the four custom non-trees kept their bytes, so no other line moved.
 
 Two commits give the same embeddings, fold results and weights exactly
 when the first six columns match:
@@ -69,9 +83,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from homcount import embedding, evaluate  # noqa: E402
 from homcount.datasets import DatasetBundle, gen_bipartite_er, gen_csl, load_paulus  # noqa: E402
-from homcount.graphs import Graph  # noqa: E402
+from homcount.graphs import Graph, disjoint_union  # noqa: E402
 from homcount.hom import PhiFunction  # noqa: E402
-from homcount.patterns import custom_pattern  # noqa: E402
+from homcount.patterns import custom_pattern, cycle_graph, resolve_family  # noqa: E402
 from workloads import LABELED_FAMILIES, gen_labeled  # noqa: E402
 
 WORKLOADS = [
@@ -170,8 +184,15 @@ def main() -> None:
         print("\t".join([f"labeled-affine/{name}", "-", "-", digest, "-", "-"]), flush=True)
     digest = embedding_digest(dense_graphs(), "cycles:14")
     print("\t".join(["dense/cycles:14", "-", "-", digest, "-", "-"]), flush=True)
-    digest = embedding_digest(load_paulus(copies_per_class=1, seed=0), "kbip:3,3")
+    paulus14 = load_paulus(copies_per_class=1, seed=0)
+    digest = embedding_digest(paulus14, "kbip:3,3")
     print("\t".join(["paulus14/kbip:3,3", "-", "-", digest, "-", "-"]), flush=True)
+    catalogs = resolve_family("cycles:32") + resolve_family("kbip:3,3")
+    graphs = [*NON_TREES.values(), cycle_graph(9), disjoint_union(*[cycle_graph(3)] * 3),
+              *paulus14.graphs]
+    codes = [p.canonical_code for p in catalogs + [custom_pattern(g) for g in graphs]]
+    digest = hashlib.sha256(json.dumps(codes).encode()).hexdigest()
+    print("\t".join(["codes", "-", "-", digest, "-", "-"]), flush=True)
 
 
 if __name__ == "__main__":

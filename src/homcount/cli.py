@@ -16,7 +16,7 @@ import numpy as np
 from . import datasets, embedding, evaluate
 from .graphs import FeaturedGraph
 from .hom import PhiFunction, _to_density, hom
-from .patterns import is_canonical_code, load_pattern_file, pattern_from_spec, resolve_family
+from .patterns import load_pattern_file, pattern_from_spec, resolve_family
 
 
 _SPEC_HELP = ("a catalog trees:K | cycles:K | stars:K | paths:K, one pattern edge | cycle:K | "
@@ -128,7 +128,6 @@ def _cmd_patterns(args) -> int:
                 "size": p.size,
                 "edges": [list(e) for e in p.graph.edges()],
                 "canonical_code": p.canonical_code,
-                "canonical": is_canonical_code(p.canonical_code),
             }
             for p in catalog
         ],

@@ -197,9 +197,9 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
         span = np.where(hi > lo, hi - lo, 1.0)
         blocks.append(np.where(hi > lo, (attrs - lo) / span, 0.0))
     if blocks:
-        all_feats = np.hstack(blocks)
-        rows_of = [np.flatnonzero(np.asarray(vertex_graph) == i) for i in range(num_graphs)]
-        features = [all_feats[rows_of[i]].copy() for i in range(num_graphs)]
+        # a stable sort keeps each graph's rows in file order, its local order
+        rows = np.hstack(blocks)[np.argsort(vertex_graph, kind="stable")]
+        features = np.split(rows, np.cumsum(sizes)[:-1])
 
     return DatasetBundle(
         name=name,

@@ -17,7 +17,7 @@ import numpy as np
 from .datasets import DatasetBundle, write_output
 from .graphs import FeaturedGraph
 from .hom import PhiFunction, _as_float, _classify, _count_row, _to_density
-from .patterns import Pattern, is_canonical_code, resolve_family
+from .patterns import Pattern, resolve_family
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,7 @@ def write_embedding_csv(
     config: Optional[dict] = None,
 ) -> None:
     """CSV with `graph_id,label,<columns>` plus a JSON sidecar of column
-    metadata and the resolved run configuration. Each column's entry adds
-    `canonical`: false where its code is a signature that non-isomorphic
-    patterns can share (see `is_canonical_code`)."""
+    metadata and the resolved run configuration."""
     import json  # only writers need it, so it loads on first use
 
     path = Path(path)
@@ -164,13 +162,7 @@ def write_embedding_csv(
         row = [str(i), str(bundle.labels[i])] + [repr(float(x)) for x in m.values[i]]
         lines.append(",".join(row))
     write_output(path, "\n".join(lines) + "\n")
-    sidecar = {
-        "dataset": bundle.name,
-        "columns": [
-            {**asdict(c), "canonical": is_canonical_code(c.canonical_code)}
-            for c in m.column_meta
-        ],
-        "config": config or {},
-    }
+    columns = [asdict(c) for c in m.column_meta]
+    sidecar = {"dataset": bundle.name, "columns": columns, "config": config or {}}
     sidecar_path = path.with_suffix(path.suffix + ".meta.json")
     write_output(sidecar_path, json.dumps(sidecar, indent=2) + "\n")

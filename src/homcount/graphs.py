@@ -90,14 +90,14 @@ class FeaturedGraph:
     """A graph together with a per-vertex feature matrix of shape (n, p).
 
     Feature entries must be finite and lie in [0, 1] at construction
-    (`check_feature_range`). Internal transforms (twin reduction adds
-    weights) bypass the range check via `unchecked`.
+    (`check_feature_range`), in a read-only copy; internal transforms (twin
+    reduction adds weights) bypass the check via `unchecked`, a read-only view.
     """
 
     __slots__ = ("graph", "features")
 
     def __init__(self, graph: Graph, features):
-        feats = FeaturedGraph.unchecked(graph, features).features
+        feats = FeaturedGraph.unchecked(graph, np.array(features, dtype=np.float64)).features
         check_feature_range(feats)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "features", feats)
@@ -106,7 +106,7 @@ class FeaturedGraph:
     def unchecked(cls, graph: Graph, features) -> "FeaturedGraph":
         """Construct without the [0, 1] range check (shape is still validated)."""
         fg = cls.__new__(cls)
-        feats = np.asarray(features, dtype=np.float64)
+        feats = np.asarray(features, dtype=np.float64).view()
         if feats.ndim != 2 or feats.shape[0] != graph.num_vertices:
             raise ValueError(
                 f"features must be 2-d with rows = num_vertices ({graph.num_vertices}), "

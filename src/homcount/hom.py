@@ -65,7 +65,7 @@ class PhiFunction:
         if self.kind == "constant_one":
             return 1.0
         if self.kind == "coordinate":
-            if self.index >= len(row):
+            if not 0 <= self.index < len(row):
                 raise ValueError(
                     f"coordinate {self.index} out of range for feature dimension {len(row)}"
                 )

@@ -8,13 +8,11 @@ tree decomposition for the bounded-treewidth counting algorithm.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .graphs import Graph, rooted_order
 
@@ -100,57 +98,64 @@ def canonical_tree_code(g: Graph) -> str:
     return min(_rooted_ahu(g, c) for c in _tree_centers(g))
 
 
-def _wl_colors(g: Graph, rounds: int = 3) -> list[str]:
-    colors = [str(g.degree(v)) for v in range(g.num_vertices)]
-    for _ in range(rounds):
-        sigs = [
-            colors[v] + "|" + ",".join(sorted(colors[u] for u in g.adjacency[v]))
-            for v in range(g.num_vertices)
-        ]
-        rename = {s: str(i) for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rename[s] for s in sigs]
-    return colors
-
-
 def canonical_adjacency_code(g: Graph) -> str:
-    """Canonical adjacency bitstring for small graphs.
+    """`g{n}:` and the least upper-triangle adjacency string over the leaves
+    of an individualization-refinement search, so equal codes iff isomorphic
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014).
 
-    Exact (minimum over all relabelings) up to 8 vertices. Larger graphs get
-    a color-refinement signature instead, which is isomorphism-invariant but
-    may collide for refinement-equivalent non-isomorphic graphs. The search
-    puts a minimum-degree vertex first and its d neighbors last: only that
-    gives the smallest possible first row, 0^(n-1-d) 1^d. It gathers every
-    candidate's upper-triangle bits at once and keeps the row that is least
-    as a binary number: bitstrings of one length order as their integers do.
+    `lab` lists the vertices cell by cell, the cell at s being lab[s:end[s]].
+    `refine` splits cells by neighbour counts in queued splitters, ascending
+    if the splitter starts at or before the cell and descending after it,
+    until the partition is equitable; `search` branches on each vertex of the
+    first smallest non-singleton cell, moved to its front. Both read only
+    positions and counts, so relabeling keeps the code. A node skips what
+    automorphisms fixing its branched vertices (twin swaps, maps between two
+    leaves of equal rows) send onto a vertex it tried.
     """
-    n = g.num_vertices
-    if n == 0:
-        return "g0:"
-    if n <= 8:
-        delta = min(g.degree(v) for v in range(n))
-        perms = np.array([
-            (first, *middle, *tail)
-            for first in range(n) if g.degree(first) == delta
-            for middle in itertools.permutations(set(range(n)) - {first} - set(g.adjacency[first]))
-            for tail in itertools.permutations(g.adjacency[first])
-        ])
-        i, j = np.triu_indices(n, 1)  # row-major, as the bitstring reads
-        bits = g.adjacency_matrix()[perms[:, i], perms[:, j]]
-        place = 1 << np.arange(len(i))[::-1]  # the first bit is the most significant
-        best = bits[np.argmin(bits @ place)]
-        return f"g{n}:" + "".join(map(str, best))
-    hist: dict[str, int] = {}
-    for c in _wl_colors(g):
-        hist[c] = hist.get(c, 0) + 1
-    sig = ";".join(f"{c}x{hist[c]}" for c in sorted(hist))
-    return f"g{n}m{g.num_edges}:wl[{sig}]"
+    n, adj = g.num_vertices, g.adjacency
+    closed = [tuple(sorted(a + (v,))) for v, a in enumerate(adj)]  # twins share adj or closed
+    best: list = [[1 << n] * n, []]  # the least leaf's rows (at first above all) and order
+    autos: list[dict[int, int]] = []
 
+    def refine(lab: list[int], end: dict[int, int], queue: list[int]) -> tuple:
+        while queue:
+            w = queue.pop(0)
+            hits = Counter(x for u in lab[w : end[w]] for x in adj[u])
+            for s, e in sorted((s, e) for s, e in end.items() if e - s > 1):
+                keys = [(1 if w <= s else -1) * hits[x] for x in lab[s:e]]
+                if min(keys) == max(keys):
+                    continue
+                keys, lab[s:e] = zip(*sorted(zip(keys, lab[s:e])))
+                starts = [s + i for i in range(e - s) if i == 0 or keys[i] != keys[i - 1]]
+                end.update(zip(starts, starts[1:] + [e]))
+                queue += [a for a in starts if a not in queue]
+        return lab, end
 
-def is_canonical_code(code: str) -> bool:
-    """False for the color-refinement signature `canonical_adjacency_code`
-    gives above 8 vertices, which non-isomorphic graphs can share; True for
-    AHU tree codes and searched adjacency codes."""
-    return ":wl[" not in code
+    def search(lab: list[int], end: dict[int, int], fixed: tuple[int, ...]) -> None:
+        cells = [(e - s, s) for s, e in end.items() if e - s > 1]
+        if not cells:  # a leaf: row i has bit n-1-j for each edge to a later position j
+            pos = {v: i for i, v in enumerate(lab)}
+            rows = [sum(1 << n - 1 - pos[u] for u in adj[v] if pos[u] > i)
+                    for i, v in enumerate(lab)]
+            if rows < best[0]:
+                best[:] = rows, lab
+            elif rows == best[0]:
+                autos.append(dict(zip(best[1], lab)))
+            return
+        size, s = min(cells)
+        target, tried = lab[s : s + size], set()
+        for v in (v for v in target if v not in tried):
+            child = lab[:s] + [v] + [x for x in target if x != v] + lab[s + size :]
+            search(*refine(child, {**end, s: s + 1, s + 1: s + size}, [s]), fixed + (v,))
+            maps = [p for p in autos if all(p[f] == f for f in fixed)]  # each keeps this node
+            images = {v}
+            while not images <= tried:  # close `tried` under `maps` and twin swaps
+                tried |= images
+                images = {p[x] for p in maps for x in tried} | {
+                    y for y in target for x in tried if adj[y] == adj[x] or closed[y] == closed[x]}
+
+    search(*refine(list(range(n)), {0: n}, [0]), ())
+    return f"g{n}:" + "".join(bin(r | 1 << n - 1 - i)[3:] for i, r in enumerate(best[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +193,7 @@ def enumerate_trees(max_size: int) -> list[Pattern]:
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
     if max_size > MAX_TREE_CATALOG_SIZE:
-        raise ValueError(
-            f"tree catalogs beyond size {MAX_TREE_CATALOG_SIZE} are not supported"
-        )
+        raise ValueError(f"tree catalogs beyond size {MAX_TREE_CATALOG_SIZE} are not supported")
     patterns: list[Pattern] = []
     edge = path_graph(2)
     current: dict[str, Graph] = {canonical_tree_code(edge): edge}
@@ -502,8 +505,8 @@ def resolve_family(spec: str) -> list[Pattern]:
     """The patterns a spec names, in catalog order. The one spec grammar:
 
     - a family `trees:K`, `cycles:K`, `stars:K` or `paths:K`, the
-      `enumerate_*` catalog up to K vertices;
-    - one pattern `edge`, `cycle:K` (K >= 3), `path:N` or `star:N` (N >= 1
+      `enumerate_*` catalog up to K vertices, within that function's range;
+    - one pattern `edge` (no argument), `cycle:K` (K >= 3), `path:N` or `star:N` (N >= 1
       vertices), or `kbip:A,B`, the complete bipartite K_{A,B} (A, B >= 1).
       Shapes are built as in the catalogs: `cycle:5` is the C5 entry of
       `cycles:5`, and `edge` is their P2;
@@ -512,16 +515,20 @@ def resolve_family(spec: str) -> list[Pattern]:
 
     A spec that names no pattern, such as a file of blank lines, raises.
     """
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     name = name.lower()
-    if name == "edge":
+    if name == "edge" and not colon:  # edge takes no argument: `edge:7` is unknown
         name, arg = "path", "2"
     catalogs = {"trees": enumerate_trees, "cycles": enumerate_cycles,
                 "stars": enumerate_stars, "paths": enumerate_paths}
     shapes = {"cycle": (cycle_graph, 3), "path": (path_graph, 1),
               "star": (lambda n: star_graph(n - 1), 1)}
     if name in catalogs:
-        patterns = catalogs[name](_spec_int(spec, arg))
+        size = _spec_int(spec, arg)
+        try:
+            patterns = catalogs[name](size)
+        except ValueError as exc:  # the catalog's own size guard
+            raise ValueError(f"spec {spec!r}: {exc}") from None
     elif name in shapes:
         build, least = shapes[name]
         patterns = [_pattern(build(_spec_int(spec, arg, least=least)), name)]

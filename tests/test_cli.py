@@ -6,6 +6,7 @@ import pytest
 from homcount.cli import main
 from homcount.datasets import gen_csl
 from homcount.evaluate import Hyper, cross_validate
+from homcount.patterns import pattern_from_spec
 
 
 @pytest.fixture
@@ -22,28 +23,33 @@ class TestPatterns:
         assert len(payload["patterns"]) == 13
         assert {p["family"] for p in payload["patterns"]} == {"tree"}
         assert all("canonical_code" in p for p in payload["patterns"])
-        assert all(p["canonical"] for p in payload["patterns"])  # AHU codes are exact
 
     def test_colon_spec(self, capsys):
         assert main(["patterns", "--family", "cycles:8"]) == 0
         assert len(json.loads(capsys.readouterr().out)["patterns"]) == 7
 
-    def test_wl_signatures_are_not_canonical(self, capsys):
+    def test_codes_are_adjacency_strings_at_every_size(self, capsys):
+        # C9 and C10 used to get a colour-refinement signature, `g9m9:wl[0x9]`
         assert main(["patterns", "--family", "cycles:10"]) == 0
-        flags = {p["size"]: p["canonical"] for p in json.loads(capsys.readouterr().out)["patterns"]}
-        assert flags == {k: k <= 8 for k in range(2, 11)}  # C9 and C10 get a WL signature
+        pats = json.loads(capsys.readouterr().out)["patterns"]
+        assert [p["size"] for p in pats] == list(range(2, 11))
+        for p in pats[1:]:
+            n = p["size"]
+            prefix, bits = p["canonical_code"].split(":")
+            assert prefix == f"g{n}" and len(bits) == n * (n - 1) // 2 and bits.count("1") == n
+        assert "canonical" not in pats[0]
 
-    def test_colliding_signature_is_not_canonical(self, tmp_path, capsys):
-        # C9 and three disjoint triangles: 9 vertices, 9 edges, all degree 2
+    def test_c9_and_three_triangles_get_distinct_codes(self, tmp_path, capsys):
+        # 9 vertices, 9 edges, all degree 2: both used to read `g9m9:wl[0x9]`
         c9 = "9\n" + "\n".join(f"{i} {(i + 1) % 9}" for i in range(9))
         triangles = "9\n" + "\n".join(f"{3 * t + i} {3 * t + (i + 1) % 3}"
                                         for t in range(3) for i in range(3))
         path = tmp_path / "pats.txt"
         path.write_text(c9 + "\n\n" + triangles + "\n")
         assert main(["patterns", "--family", f"file:{path}"]) == 0
-        pats = json.loads(capsys.readouterr().out)["patterns"]
-        assert [p["canonical_code"] for p in pats] == ["g9m9:wl[0x9]"] * 2
-        assert [p["canonical"] for p in pats] == [False, False]
+        codes = [p["canonical_code"] for p in json.loads(capsys.readouterr().out)["patterns"]]
+        assert len(set(codes)) == 2
+        assert codes[0] == pattern_from_spec("cycle:9").canonical_code
 
     def test_missing_size_is_data_error(self, capsys):
         assert main(["patterns", "--family", "trees"]) == 2
@@ -344,7 +350,10 @@ class TestExitCodes:
         "flag, spec",
         [("--pattern", "cycle"), ("--pattern", "cycle:x"), ("--pattern", "path:0"),
          ("--pattern", "star:0"), ("--pattern", "cycle:2"), ("--pattern", "file:{k3}#x"),
-         ("--pattern", "kbip:0,3"), ("--pattern", "kbip:3"), ("--family", "trees:x")],
+         ("--pattern", "kbip:0,3"), ("--pattern", "kbip:3"), ("--family", "trees:x"),
+         ("--family", "paths:1"), ("--family", "stars:1"), ("--family", "cycles:2"),
+         ("--family", "trees:0"), ("--family", "trees:13"), ("--family", "edge:7"),
+         ("--family", "edge:")],
     )
     def test_bad_spec_is_named(self, k3_file, flag, spec, capsys):
         spec = spec.format(k3=k3_file)

@@ -52,9 +52,13 @@ class TestToyGoldenFiles:
         (tmp_path / "X_graph_indicator.txt").write_text("1\n2\n1\n2\n2\n")
         (tmp_path / "X_A.txt").write_text("1, 3\n3, 1\n2, 4\n4, 2\n4, 5\n5, 4\n")
         (tmp_path / "X_graph_labels.txt").write_text("0\n1\n")
+        (tmp_path / "X_node_labels.txt").write_text("0\n1\n2\n0\n2\n")
         bundle = parse_tud(tmp_path, "X")
         assert bundle.graphs[0].adjacency == ((1,), (0,))
         assert bundle.graphs[1].adjacency == ((1,), (0, 2), (1,))
+        # each graph's rows in file order: labels 0, 2 and then 1, 0, 2
+        assert [f.argmax(axis=1).tolist() for f in bundle.features] == [[0, 2], [1, 0, 2]]
+        assert all(f.shape[1] == 3 and (f.sum(axis=1) == 1).all() for f in bundle.features)
 
 
 class TestParserErrors:

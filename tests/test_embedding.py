@@ -120,6 +120,12 @@ class TestOptions:
         phis = default_phi_set(bundle)
         assert [p.kind for p in phis] == ["constant_one"] + ["coordinate"] * 3
 
+    def test_bundle_features_stay_writeable(self):
+        # embed used to mark every feature array of the bundle read-only
+        bundle = parse_tud(FIXTURES / "TOY", "TOY")
+        embed(bundle, "cycles:3")
+        assert all(f.flags.writeable for f in bundle.features)
+
 
 class TestRoundingFlag:
     def test_flags_exactly_the_columns_float64_rounds(self):
@@ -187,21 +193,14 @@ class TestCsvOutput:
         assert len(sidecar["columns"]) == 7
         assert len(column_names(m)) == 7
 
-    @pytest.mark.parametrize(
-        "family, flags",
-        [("cycles:9", [True] * 7 + [False]),  # C9's code is a WL signature
-         ("trees:5", [True] * 7)],
-    )
-    def test_sidecar_flags_canonical_codes(self, tmp_path, family, flags):
+    @pytest.mark.parametrize("family", ["cycles:9", "trees:5"])
+    def test_sidecar_columns_are_column_meta(self, tmp_path, family):
+        # every code is exact, C9's too, so the sidecar adds nothing to a column
         bundle = small_bundle()
         m = embed(bundle, family)
         write_embedding_csv(m, bundle, tmp_path / "emb.csv")
         columns = json.loads((tmp_path / "emb.csv.meta.json").read_text())["columns"]
-        assert [c["canonical"] for c in columns] == flags
-        # The flag lives in the sidecar only, so `ColumnMeta` is unchanged.
-        assert [{k: v for k, v in c.items() if k != "canonical"} for c in columns] == [
-            asdict(c) for c in m.column_meta
-        ]
+        assert columns == [asdict(c) for c in m.column_meta]
 
     def test_cells_read_back_exactly(self, tmp_path):
         bundle = small_bundle()

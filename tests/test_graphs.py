@@ -145,6 +145,22 @@ class TestFeaturedGraphValidation:
         fg = FeaturedGraph.unchecked(Graph(1, []), [[2.0]])
         assert fg.features[0, 0] == 2.0
 
+    @pytest.mark.parametrize("build", [FeaturedGraph, FeaturedGraph.unchecked])
+    def test_caller_array_stays_writeable(self, build):
+        # both constructors used to mark the caller's own array read-only
+        feats = np.array([[0.5], [0.25]])
+        fg = build(Graph(2, [(0, 1)]), feats)
+        assert feats.flags.writeable and not fg.features.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fg.features[0, 0] = 0.0
+
+    def test_checked_features_are_a_private_copy(self):
+        # a later write to the caller's array cannot get past the range check
+        feats = np.array([[0.5], [0.25]])
+        fg = FeaturedGraph(Graph(2, [(0, 1)]), feats)
+        feats[0, 0] = 7.0
+        assert fg.features[0, 0] == 0.5
+
 
 class TestBipartite:
     def test_even_cycle(self):

@@ -725,9 +725,11 @@ class TestDisjointUnionMultiplicativity:
 
 class TestPhiFunction:
     def test_coordinate_out_of_range(self):
-        phi = PhiFunction.coordinate(5)
-        with pytest.raises(ValueError, match="coordinate"):
-            phi(np.array([0.1, 0.2]))
+        # -1 used to read the last column, and -3 raised a bare IndexError
+        for index in (5, 2, -1, -3):
+            phi = PhiFunction.coordinate(index)
+            with pytest.raises(ValueError, match=f"coordinate {index} out of range"):
+                phi(np.array([0.1, 0.2]))
 
     def test_affine(self):
         phi = PhiFunction.affine((2.0, 1.0), bias=0.5)

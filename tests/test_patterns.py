@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_isomorphic, random_connected_graph, random_simple_graph
-from homcount.graphs import Graph, permute
+from homcount.datasets import load_paulus
+from homcount.graphs import Graph, disjoint_union, permute
 from homcount.patterns import (
     TreeDecomposition,
     build_nice_decomposition,
@@ -129,15 +130,66 @@ class TestCanonicalCodes:
     def test_adjacency_code_equals_full_search(self):
         rng = random.Random(31)
         graphs = [random_simple_graph(rng, rng.randint(0, 6), rng.random()) for _ in range(300)]
-        for g in graphs + [cycle_graph(k) for k in range(3, 9)]:
-            assert canonical_adjacency_code(g) == reference_adjacency_code(g)
+        assert_codes_split_as_the_oracle(graphs + [cycle_graph(k) for k in range(3, 9)])
 
     def test_adjacency_code_equals_full_search_on_seven_and_eight_vertices(self):
         rng = random.Random(37)
         graphs = [random_simple_graph(rng, 7, rng.random()) for _ in range(20)]
         cube = Graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
-        for g in graphs + [cube]:
-            assert canonical_adjacency_code(g) == reference_adjacency_code(g)
+        assert_codes_split_as_the_oracle(graphs + [cube])
+
+
+def assert_codes_split_as_the_oracle(graphs) -> None:
+    """Two graphs share a code exactly when they share the oracle's code."""
+    pairs = {(canonical_adjacency_code(g), reference_adjacency_code(g)) for g in graphs}
+    assert len(pairs) == len({code for code, _ in pairs}) == len({ref for _, ref in pairs})
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A graph on 0-12 vertices and a permutation of its vertices."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k]), draw(st.permutations(range(n)))
+
+
+class TestExactCodes:
+    """One search gives every non-tree its code; the code names the graph's
+    isomorphism class at every size."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=relabelled_graphs())
+    @example(case=(cycle_graph(12), list(range(12))[::-1]))
+    @example(case=(disjoint_union(*[cycle_graph(4)] * 3), [(5 * v) % 12 for v in range(12)]))
+    def test_relabeling_keeps_the_code(self, case):
+        g, sigma = case
+        assert canonical_adjacency_code(permute(g, sigma)) == canonical_adjacency_code(g)
+
+    def test_paulus_templates_get_fourteen_codes(self):
+        # strongly regular, so refinement alone leaves one cell: the search does the work
+        bundle = load_paulus(copies_per_class=2, seed=0)
+        codes = {}
+        for g, label in zip(bundle.graphs, bundle.labels):
+            codes.setdefault(label, set()).add(canonical_adjacency_code(g))
+        assert all(len(c) == 1 for c in codes.values())  # each permuted copy, its template's
+        assert len(set.union(*codes.values())) == 14
+
+    def test_c9_and_three_triangles_differ(self):
+        # both used to read the colour-refinement signature `g9m9:wl[0x9]`
+        triangles = disjoint_union(*[cycle_graph(3)] * 3)
+        assert canonical_adjacency_code(cycle_graph(9)) != canonical_adjacency_code(triangles)
+
+    @pytest.mark.parametrize(
+        "spec, code",
+        [("edge", "(())"), ("cycle:3", "g3:111"), ("cycle:4", "g4:011110"),
+         ("cycle:5", "g5:0011101100"), ("cycle:6", "g6:000110101110000"),
+         ("cycle:7", "g7:000011001011010100000"),
+         ("cycle:8", "g8:0000011000101010101100000000"), ("kbip:3,3", "g6:001110111111000")],
+    )
+    def test_fixed_workload_codes_are_kept(self, spec, code):
+        # the codes the full search over every relabeling gave
+        assert pattern_from_spec(spec).canonical_code == code
 
 
 def reference_adjacency_code(g: Graph) -> str:
@@ -400,7 +452,7 @@ class TestCodeIsReadFromTheGraph:
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(case=relabelled_trees())
-    @example(case=(path_graph(12), list(range(12))[::-1]))  # past the 8-vertex search
+    @example(case=(path_graph(12), list(range(12))[::-1]))
     def test_trees_get_the_tree_code_at_any_size(self, case):
         tree, sigma = case
         assert custom_pattern(permute(tree, sigma)).canonical_code == canonical_tree_code(tree)
