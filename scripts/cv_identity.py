@@ -52,6 +52,13 @@ class. Every other line hashes the codes with the values, so a change
 that moves codes but no count shows on this line and on the lines whose
 catalog holds a moved code.
 
+The line after it, `decomps`, gives in column 4 the sha256 of
+`treewidth_exact`'s (width, elimination order) and of
+`nice_decomposition`'s bags, children and node kinds for C3 to C8,
+kbip:3,3, the four custom non-trees above and the Petersen graph, so a
+change that moves an elimination order or a bag shows here even where no
+count moves.
+
 Lines that moved by design: the exact codes from the
 individualization-refinement search (every size, in place of the 8-vertex
 search and a colour-refinement signature above it) moved column 4 of
@@ -85,7 +92,13 @@ from homcount import embedding, evaluate  # noqa: E402
 from homcount.datasets import DatasetBundle, gen_bipartite_er, gen_csl, load_paulus  # noqa: E402
 from homcount.graphs import Graph, disjoint_union  # noqa: E402
 from homcount.hom import PhiFunction  # noqa: E402
-from homcount.patterns import custom_pattern, cycle_graph, resolve_family  # noqa: E402
+from homcount.patterns import (  # noqa: E402
+    custom_pattern,
+    cycle_graph,
+    nice_decomposition,
+    resolve_family,
+    treewidth_exact,
+)
 from workloads import LABELED_FAMILIES, gen_labeled  # noqa: E402
 
 WORKLOADS = [
@@ -193,6 +206,16 @@ def main() -> None:
     codes = [p.canonical_code for p in catalogs + [custom_pattern(g) for g in graphs]]
     digest = hashlib.sha256(json.dumps(codes).encode()).hexdigest()
     print("\t".join(["codes", "-", "-", digest, "-", "-"]), flush=True)
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    kbip = catalogs[-1].graph
+    records = []
+    for g in [*map(cycle_graph, range(3, 9)), kbip, *NON_TREES.values(), petersen]:
+        td = nice_decomposition(custom_pattern(g))
+        bags = [sorted(b) for b in td.bags]
+        records.append([treewidth_exact(g), bags, td.children, td.node_kind])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    print("\t".join(["decomps", "-", "-", digest, "-", "-"]), flush=True)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, check_feature_range, is_bipartite, permute
+from .graphs import Graph, check_feature_range, is_bipartite, permute, text_blocks
 from .hom import _walk_traces
 
 DEFAULT_CSL_SKIPS = (2, 3, 4, 5, 6, 9, 11, 12, 13, 16)
@@ -121,6 +121,8 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
         vertex_graph.append(gid - 1)
         local_index.append(sizes[gid - 1])
         sizes[gid - 1] += 1
+    if 0 in sizes:
+        raise DataFormatError(f"{ind_path.name}: graph id {sizes.index(0) + 1} has no vertices")
 
     a_path = directory / f"{name}_A.txt"
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
@@ -280,6 +282,8 @@ def _permuted_copies(
 ) -> tuple[list[Graph], list[int]]:
     """`copies_per_class` seeded random relabelings of each template, class
     i holding the copies of template i."""
+    if copies_per_class < 1:
+        raise ValueError(f"copies_per_class must be at least 1, got {copies_per_class}")
     rng = random.Random(seed)
     graphs, labels = [], []
     for cls, template in enumerate(templates):
@@ -341,6 +345,8 @@ def gen_bipartite_er(
     happen to be bipartite are rejected and redrawn so class labels stay
     truthful.
     """
+    if total < 2:
+        raise ValueError(f"total must be at least 2, one graph per class, got {total}")
     rng = random.Random(seed)
     lo, hi = n_range
     graphs, labels = [], []
@@ -388,10 +394,7 @@ def load_paulus(
     """
     path = Path(file) if file is not None else default_paulus_file()
     templates = []
-    for block in path.read_text().split("\n\n"):
-        lines = [ln.strip() for ln in block.splitlines() if ln.strip()]
-        if not lines:
-            continue
+    for lines in text_blocks(path.read_text()):
         n = len(lines)
         if n != 25 or any(len(ln) != 25 for ln in lines):
             raise ValueError(f"{path.name}: template must be a 25x25 0/1 matrix")

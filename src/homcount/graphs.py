@@ -210,6 +210,18 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(total, edges)
 
 
+def text_blocks(text: str) -> list[list[str]]:
+    """The stripped non-blank lines of `text`, in blocks split at every line
+    that is blank after `strip` (empty, spaces, tabs or a stray CR)."""
+    blocks: list[list[str]] = [[]]
+    for line in text.splitlines():
+        if line.strip():
+            blocks[-1].append(line.strip())
+        elif blocks[-1]:
+            blocks.append([])
+    return [block for block in blocks if block]
+
+
 def _drop_vertices(g: Graph, weights: np.ndarray, drop: set[int]) -> tuple[Graph, np.ndarray]:
     keep = [v for v in range(g.num_vertices) if v not in drop]
     relabel = {v: i for i, v in enumerate(keep)}

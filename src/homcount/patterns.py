@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graphs import Graph, rooted_order
+from .graphs import Graph, rooted_order, text_blocks
 
 MAX_TREE_CATALOG_SIZE = 12
 
@@ -110,10 +110,14 @@ def canonical_adjacency_code(g: Graph) -> str:
     first smallest non-singleton cell, moved to its front. Both read only
     positions and counts, so relabeling keeps the code. A node skips what
     automorphisms fixing its branched vertices (twin swaps, maps between two
-    leaves of equal rows) send onto a vertex it tried.
+    leaves of equal rows) send onto a vertex it tried; twins share an open or
+    closed neighbourhood class. Each node is a generator yielding its
+    children's arguments, run depth first by one loop over a stack.
     """
     n, adj = g.num_vertices, g.adjacency
-    closed = [tuple(sorted(a + (v,))) for v, a in enumerate(adj)]  # twins share adj or closed
+    ids: dict[tuple, int] = {}  # one id space: N(x) = N[y] would put y, so x, in N(x)
+    twin = [(ids.setdefault(a, len(ids)), ids.setdefault(tuple(sorted(a + (v,))), len(ids)))
+            for v, a in enumerate(adj)]
     best: list = [[1 << n] * n, []]  # the least leaf's rows (at first above all) and order
     autos: list[dict[int, int]] = []
 
@@ -131,7 +135,7 @@ def canonical_adjacency_code(g: Graph) -> str:
                 queue += [a for a in starts if a not in queue]
         return lab, end
 
-    def search(lab: list[int], end: dict[int, int], fixed: tuple[int, ...]) -> None:
+    def search(lab: list[int], end: dict[int, int], fixed: tuple[int, ...]):
         cells = [(e - s, s) for s, e in end.items() if e - s > 1]
         if not cells:  # a leaf: row i has bit n-1-j for each edge to a later position j
             pos = {v: i for i, v in enumerate(lab)}
@@ -146,15 +150,21 @@ def canonical_adjacency_code(g: Graph) -> str:
         target, tried = lab[s : s + size], set()
         for v in (v for v in target if v not in tried):
             child = lab[:s] + [v] + [x for x in target if x != v] + lab[s + size :]
-            search(*refine(child, {**end, s: s + 1, s + 1: s + size}, [s]), fixed + (v,))
+            yield *refine(child, {**end, s: s + 1, s + 1: s + size}, [s]), fixed + (v,)
             maps = [p for p in autos if all(p[f] == f for f in fixed)]  # each keeps this node
             images = {v}
             while not images <= tried:  # close `tried` under `maps` and twin swaps
                 tried |= images
+                classes = {c for x in tried for c in twin[x]}
                 images = {p[x] for p in maps for x in tried} | {
-                    y for y in target for x in tried if adj[y] == adj[x] or closed[y] == closed[x]}
+                    y for y in target if not classes.isdisjoint(twin[y])}
 
-    search(*refine(list(range(n)), {0: n}, [0]), ())
+    stack = [search(*refine(list(range(n)), {0: n}, [0]), ())]
+    while stack:  # run the top node to its next child, or drop it when it has none
+        if child := next(stack[-1], None):
+            stack.append(search(*child))
+        else:
+            stack.pop()
     return f"g{n}:" + "".join(bin(r | 1 << n - 1 - i)[3:] for i, r in enumerate(best[0]))
 
 
@@ -249,9 +259,12 @@ def custom_pattern(g: Graph) -> Pattern:
 
 
 def treewidth_exact(g: Graph) -> tuple[int, list[int]]:
-    """Optimal treewidth via dynamic programming over elimination prefixes.
+    """Optimal treewidth via dynamic programming over elimination prefixes
+    (Bodlaender, Fomin, Koster, Kratsch and Thilikos, 2012).
 
-    Returns (width, elimination_order) where the order achieves the width.
+    Returns (width, elimination_order) where the order achieves the width:
+    each vertex set records the lowest vertex whose elimination last gives
+    it its width, and the order is read back from those records.
     Exponential in the vertex count; guarded at 20 vertices.
     """
     n = g.num_vertices
@@ -286,7 +299,7 @@ def treewidth_exact(g: Graph) -> tuple[int, list[int]]:
         return bin(reach & ~eliminated & ~(1 << v)).count("1")
 
     full = (1 << n) - 1
-    width = {0: -1}
+    width, last = [-1] * (full + 1), [0] * (full + 1)
     for s in range(1, full + 1):
         best = n
         m = s
@@ -299,25 +312,14 @@ def treewidth_exact(g: Graph) -> tuple[int, list[int]]:
                 continue
             cand = max(prev, fill_degree(s ^ low, v))
             if cand < best:
-                best = cand
+                best, last[s] = cand, v
         width[s] = best
 
-    order: list[int] = []
-    s = full
+    order, s = [], full
     while s:
-        m = s
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if max(width[s ^ low], fill_degree(s ^ low, v)) == width[s]:
-                order.append(v)
-                s ^= low
-                break
-        else:
-            raise AssertionError("failed to reconstruct elimination order")
-    order.reverse()
-    return width[full], order
+        order.append(last[s])
+        s ^= 1 << last[s]
+    return width[full], order[::-1]
 
 
 def _elimination_bags(g: Graph, order: Sequence[int]) -> tuple[list[frozenset[int]], list[int]]:
@@ -470,10 +472,7 @@ def nice_decomposition(pattern: Pattern) -> TreeDecomposition:
 def parse_pattern_blocks(text: str) -> list[Graph]:
     """Parse the custom pattern format: per block, `n` then `u v` edge lines."""
     graphs = []
-    for block in text.split("\n\n"):
-        lines = [ln.strip() for ln in block.splitlines() if ln.strip()]
-        if not lines:
-            continue
+    for lines in text_blocks(text):
         try:
             n = int(lines[0])
             edges = []

@@ -341,6 +341,21 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: spec 'file:{path}' names no pattern\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["csl", "--copies-per-class", "0"], "copies_per_class"),
+         (["csl", "--copies-per-class", "-3"], "copies_per_class"),
+         (["paulus", "--copies-per-class", "0"], "copies_per_class"),
+         (["bipartite", "--total", "0"], "total"), (["bipartite", "--total", "1"], "total")],
+    )
+    def test_gen_sizes_that_make_no_dataset(self, tmp_path, args, message, capsys):
+        # the first four wrote 0 graphs and exited 0; eval then failed on the empty files
+        out_dir = tmp_path / "data"
+        assert main(["gen", *args, "--out", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message} must be at least")
+        assert not out_dir.exists()
+
     def test_k_larger_than_dataset(self, capsys):
         code = main(["eval", "--generate", "csl", "--family", "cycles:4", "--k", "200"])
         assert code == 2

@@ -97,6 +97,12 @@ class TestParserErrors:
         with pytest.raises(DataFormatError, match="X_graph_indicator.txt"):
             parse_tud(tmp_path, "X")
 
+    def test_skipped_graph_id(self, tmp_path):
+        # graph 2 used to parse as an empty graph, which embed --density then rejected
+        self._write(tmp_path, ["1, 2", "2, 1", "3, 4", "4, 3"], ["1", "1", "3", "3"], ["0", "1", "0"])
+        with pytest.raises(DataFormatError, match="X_graph_indicator.txt: graph id 2 has no vertices"):
+            parse_tud(tmp_path, "X")
+
     @pytest.mark.parametrize("gid", ["0", "-1"])
     def test_graph_id_below_one(self, tmp_path, gid):
         # 0 used to land the vertex in the last graph; -1 was an IndexError
@@ -310,6 +316,12 @@ class TestCSL:
         with pytest.raises(ValueError, match="skip"):
             gen_csl(num_vertices=40, skips=(2, 20), copies_per_class=1)
 
+    @pytest.mark.parametrize("copies", [0, -3])
+    def test_copies_per_class_below_one_rejected(self, copies):
+        # an empty dataset used to be written, and failed only when parsed back
+        with pytest.raises(ValueError, match="copies_per_class must be at least 1"):
+            gen_csl(copies_per_class=copies)
+
     def test_colliding_profiles_rejected(self):
         # skips 6 and 7 on 41 vertices share every closed-walk count up to 8
         with pytest.raises(ValueError, match="identical cycle profiles"):
@@ -339,6 +351,12 @@ class TestBipartiteER:
 
     def test_determinism(self):
         assert gen_bipartite_er(seed=9).graphs == gen_bipartite_er(seed=9).graphs
+
+    @pytest.mark.parametrize("total", [0, 1])
+    def test_total_below_two_rejected(self, total):
+        # 0 gave an empty dataset, and 1 a single class-1 graph whose labels failed
+        with pytest.raises(ValueError, match="total must be at least 2"):
+            gen_bipartite_er(total=total)
 
 
 class TestPaulus:
@@ -381,6 +399,21 @@ class TestPaulus:
 
     def test_determinism(self):
         assert load_paulus(seed=1).graphs == load_paulus(seed=1).graphs
+
+    def test_copies_per_class_below_one_rejected(self):
+        with pytest.raises(ValueError, match="copies_per_class must be at least 1"):
+            load_paulus(copies_per_class=0)
+
+    @pytest.mark.parametrize("separator", [" ", "\t"])
+    def test_blank_after_strip_separates_templates(self, tmp_path, separator):
+        # a separator line holding whitespace used to glue two templates into one block
+        text = default_paulus_file().read_text()
+        copy = tmp_path / "paulus.txt"
+        copy.write_text(text.replace("\n\n", f"\n{separator}\n"))
+        assert copy.read_text().count(f"\n{separator}\n") == 13
+        bundled = load_paulus(copies_per_class=1).graphs
+        assert load_paulus(file=copy, copies_per_class=1).graphs == bundled
+        assert len(bundled) == 14
 
 
 class TestBundleValidation:

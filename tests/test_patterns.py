@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -191,6 +193,27 @@ class TestExactCodes:
         # the codes the full search over every relabeling gave
         assert pattern_from_spec(spec).canonical_code == code
 
+    @pytest.mark.parametrize("n, complete", [(0, False), (1200, False), (400, True)])
+    def test_closed_forms_at_any_size(self, n, complete):
+        # the search used to recurse once per branching: Graph(1200) raised RecursionError
+        g = Graph(n, itertools.combinations(range(n), 2) if complete else ())
+        sigma = list(range(n))
+        random.Random(n).shuffle(sigma)
+        code = f"g{n}:" + ("1" if complete else "0") * (n * (n - 1) // 2)
+        assert canonical_adjacency_code(g) == canonical_adjacency_code(permute(g, sigma)) == code
+
+    def test_codes_of_seeded_graphs_are_pinned(self):
+        # sha256 of the codes the recursive search gave, one code per line
+        codes = "\n".join(canonical_adjacency_code(g) for g in seeded_graphs(41, 200, 12))
+        digest = "933099830df2838a213986965307c3b465ea2ccfe1a1f0d88e9bc7844e8664e4"
+        assert hashlib.sha256(codes.encode()).hexdigest() == digest
+
+
+def seeded_graphs(seed: int, count: int, max_n: int) -> list[Graph]:
+    """`count` random graphs, each on 0..max_n vertices at its own edge density."""
+    rng = random.Random(seed)
+    return [random_simple_graph(rng, rng.randint(0, max_n), rng.random()) for _ in range(count)]
+
 
 def reference_adjacency_code(g: Graph) -> str:
     """Oracle: the minimum adjacency bitstring over all n! relabelings."""
@@ -265,6 +288,13 @@ class TestTreewidth:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="20"):
             treewidth_exact(Graph(21, []))
+
+    def test_orders_of_seeded_graphs_are_pinned(self):
+        # sha256 of the (width, order) pairs, as JSON, that the DP gave when it
+        # rebuilt each order by a second walk over the vertex sets
+        pairs = json.dumps([treewidth_exact(g) for g in seeded_graphs(43, 200, 10)])
+        digest = "b16db004495ee416bfece9933e70bfc588a7801d6887182a455a03fc036c78aa"
+        assert hashlib.sha256(pairs.encode()).hexdigest() == digest
 
 
 class TestNiceDecomposition:
@@ -351,6 +381,17 @@ class TestPatternFiles:
         graphs = parse_pattern_blocks(text)
         assert [g.num_vertices for g in graphs] == [3, 2]
         assert graphs[0].num_edges == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3\n0 1\n1 2\n \n2\n0 1\n", "3\n0 1\n1 2\n\t\n2\n0 1\n",
+         "3\r\n0 1\r\n1 2\r\n\r\n2\r\n0 1\r\n"],
+        ids=["space", "tab", "crlf"],
+    )
+    def test_blank_after_strip_separates_blocks(self, text):
+        # each used to glue the two blocks together into one malformed block
+        graphs = parse_pattern_blocks(text)
+        assert [(g.num_vertices, g.num_edges) for g in graphs] == [(3, 2), (2, 1)]
 
     def test_malformed_block(self):
         with pytest.raises(ValueError, match="malformed"):
