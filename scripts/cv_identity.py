@@ -45,7 +45,7 @@ the treewidth-3 pattern that separates them where trees and cycles do not.
 It is the one line that runs the decomposition DP at width 3 on dense
 graphs, and it takes about 8 seconds of the run.
 
-The last line, `codes`, gives in column 4 the sha256 of the canonical
+The next line, `codes`, gives in column 4 the sha256 of the canonical
 codes alone: those of cycles:32 and kbip:3,3, of the four custom non-trees
 above, of C9 and three disjoint triangles, and of one Paulus graph per
 class. Every other line hashes the codes with the values, so a change
@@ -58,6 +58,14 @@ The line after it, `decomps`, gives in column 4 the sha256 of
 kbip:3,3, the four custom non-trees above and the Petersen graph, so a
 change that moves an elimination order or a bag shows here even where no
 count moves.
+
+The last line, `twins`, gives in column 4 the sha256 of `twin_reduce`'s
+adjacency tuples and weight bytes for 200 seeded weighted graphs with
+planted twins, twins of twins, isolated vertices and zero weights, and for
+the star with 2,000 leaves. Its weights are non-integer, so the line sees
+the order in which a class adds its weights as well as which vertices
+survive. It reads the same for the one-pass reduction as for the pairwise
+loop it replaced; run the script from a checkout of each to compare.
 
 Lines that moved by design: the exact codes from the
 individualization-refinement search (every size, in place of the 8-vertex
@@ -90,7 +98,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from homcount import embedding, evaluate  # noqa: E402
 from homcount.datasets import DatasetBundle, gen_bipartite_er, gen_csl, load_paulus  # noqa: E402
-from homcount.graphs import Graph, disjoint_union  # noqa: E402
+from homcount.graphs import FeaturedGraph, Graph, disjoint_union, twin_reduce  # noqa: E402
 from homcount.hom import PhiFunction  # noqa: E402
 from homcount.patterns import (  # noqa: E402
     custom_pattern,
@@ -133,6 +141,32 @@ def dense_graphs(seed: int = 0, count: int = 20) -> DatasetBundle:
         n = rng.randint(40, 60)
         graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9]))
     return DatasetBundle("dense", graphs, [0] * count)
+
+
+def twin_graphs(seed: int = 0, count: int = 200) -> list[FeaturedGraph]:
+    """`count` weighted graphs on up to 14 vertices: G(n, 0.4) plus planted
+    twins (of any vertex, planted ones included) and isolated vertices,
+    each weight 0.0 or drawn from [0, 1), then the star with 2,000 leaves."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        nbhds = [set() for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.4:
+                    nbhds[u].add(v)
+                    nbhds[v].add(u)
+        while len(nbhds) < 14 and rng.random() < 0.7:
+            new = set(nbhds[rng.randrange(len(nbhds))]) if rng.random() < 0.8 else set()
+            for u in new:
+                nbhds[u].add(len(nbhds))
+            nbhds.append(new)
+        g = Graph(len(nbhds), [(u, v) for u in range(len(nbhds)) for v in nbhds[u] if u < v])
+        weights = [[rng.choice((0.0, rng.random(), rng.random()))] for _ in nbhds]
+        out.append(FeaturedGraph.unchecked(g, weights))
+    star = Graph(2001, [(0, v) for v in range(1, 2001)])
+    return out + [FeaturedGraph.unchecked(star, [[0.1]] * 2001)]
 
 
 def fingerprint(report: evaluate.CVReport) -> str:
@@ -216,6 +250,11 @@ def main() -> None:
         records.append([treewidth_exact(g), bags, td.children, td.node_kind])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     print("\t".join(["decomps", "-", "-", digest, "-", "-"]), flush=True)
+    h = hashlib.sha256()
+    for fg in twin_graphs():
+        reduced = twin_reduce(fg)
+        h.update(repr(reduced.graph.adjacency).encode() + reduced.features.tobytes())
+    print("\t".join(["twins", "-", "-", h.hexdigest(), "-", "-"]), flush=True)
 
 
 if __name__ == "__main__":

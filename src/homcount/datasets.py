@@ -15,7 +15,7 @@ import stat
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,11 +83,16 @@ def write_output(path: str | Path, text: str) -> None:
 # TU-Dortmund format
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number in the file, text) for each line that is not blank
+    after `strip`; the i-th such line describes item i."""
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
     # An undecodable byte becomes U+FFFD, which fails its token's parse.
-    return path.read_text(encoding="utf-8", errors="replace").splitlines()
+    lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            yield lineno, line
 
 
 def _int_token(token: str, path: Path, lineno: int) -> int:
@@ -104,9 +109,12 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
     node labels one-hot encoded, and graph labels remapped to 0..C-1."""
     directory = Path(directory)
     ind_path = directory / f"{name}_graph_indicator.txt"
-    indicator = [
-        _int_token(tok, ind_path, i + 1) for i, tok in enumerate(_read_lines(ind_path))
-    ]
+    indicator = []
+    for lineno, tok in _read_lines(ind_path):
+        gid = _int_token(tok, ind_path, lineno)
+        if gid < 1:
+            raise DataFormatError(f"{ind_path.name}:{lineno}: graph id must be >= 1, got {gid}")
+        indicator.append(gid)
     if not indicator:
         raise DataFormatError(f"{ind_path.name}: no vertices, so no graphs")
     num_graphs = max(indicator)
@@ -115,9 +123,7 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
     # indicator files parse correctly too.
     local_index = []
     vertex_graph = []
-    for lineno, gid in enumerate(indicator, start=1):
-        if gid < 1:
-            raise DataFormatError(f"{ind_path.name}:{lineno}: graph id must be >= 1, got {gid}")
+    for gid in indicator:
         vertex_graph.append(gid - 1)
         local_index.append(sizes[gid - 1])
         sizes[gid - 1] += 1
@@ -126,9 +132,7 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
 
     a_path = directory / f"{name}_A.txt"
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    for lineno, line in enumerate(_read_lines(a_path), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _read_lines(a_path):
         parts = line.split(",")
         if len(parts) != 2:
             raise DataFormatError(f"{a_path.name}:{lineno}: expected 'u, v'")
@@ -148,9 +152,7 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
     graphs = [Graph(sizes[i], sorted(edge_sets[i])) for i in range(num_graphs)]
 
     gl_path = directory / f"{name}_graph_labels.txt"
-    raw_labels = [
-        _int_token(tok, gl_path, i + 1) for i, tok in enumerate(_read_lines(gl_path))
-    ]
+    raw_labels = [_int_token(tok, gl_path, lineno) for lineno, tok in _read_lines(gl_path)]
     if len(raw_labels) != num_graphs:
         raise DataFormatError(f"{gl_path.name}: expected {num_graphs} labels")
     remap = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
@@ -160,9 +162,7 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
     blocks: list[np.ndarray] = []
     nl_path = directory / f"{name}_node_labels.txt"
     if nl_path.is_file():
-        node_labels = [
-            _int_token(tok, nl_path, i + 1) for i, tok in enumerate(_read_lines(nl_path))
-        ]
+        node_labels = [_int_token(tok, nl_path, lineno) for lineno, tok in _read_lines(nl_path)]
         if len(node_labels) != len(indicator):
             raise DataFormatError(f"{nl_path.name}: expected {len(indicator)} lines")
         values = sorted(set(node_labels))
@@ -174,9 +174,7 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
     na_path = directory / f"{name}_node_attributes.txt"
     if na_path.is_file():
         rows = []
-        for lineno, line in enumerate(_read_lines(na_path), start=1):
-            if not line.strip():
-                continue
+        for lineno, line in _read_lines(na_path):
             try:
                 rows.append([float(tok) for tok in line.split(",")])
             except ValueError:
@@ -214,9 +212,11 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
 
 def write_tud(bundle: DatasetBundle, directory: str | Path) -> None:
     """Emit a bundle in TU format. One-hot feature rows are written back as
-    node labels so that a round trip reproduces them exactly; other features
-    go to node attributes. Files from an earlier bundle of the same name are
-    replaced (`write_output`), and the optional file not written is removed."""
+    node labels, which parse back exactly only when every label column occurs
+    in some row (`parse_tud` makes one column per label value it sees); other
+    features go to node attributes. Files from an earlier bundle of the same
+    name are replaced (`write_output`), and the optional file not written is
+    removed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = bundle.name

@@ -153,15 +153,17 @@ def write_embedding_csv(
 ) -> None:
     """CSV with `graph_id,label,<columns>` plus a JSON sidecar of column
     metadata and the resolved run configuration."""
-    import json  # only writers need it, so it loads on first use
+    import csv  # only writers need these, so they load on first use
+    import io
+    import json
 
     path = Path(path)
-    header = ["graph_id", "label"] + column_names(m)
-    lines = [",".join(header)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")  # quotes a name holding a comma
+    writer.writerow(["graph_id", "label"] + column_names(m))
     for i in range(m.values.shape[0]):
-        row = [str(i), str(bundle.labels[i])] + [repr(float(x)) for x in m.values[i]]
-        lines.append(",".join(row))
-    write_output(path, "\n".join(lines) + "\n")
+        writer.writerow([str(i), str(bundle.labels[i])] + [repr(float(x)) for x in m.values[i]])
+    write_output(path, text.getvalue())
     columns = [asdict(c) for c in m.column_meta]
     sidecar = {"dataset": bundle.name, "columns": columns, "config": config or {}}
     sidecar_path = path.with_suffix(path.suffix + ".meta.json")

@@ -42,9 +42,6 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -133,28 +130,23 @@ class FeaturedGraph:
         return f"FeaturedGraph(n={self.graph.num_vertices}, p={self.feature_dim})"
 
 
-def check_permutation(sigma: Sequence[int], n: int) -> None:
-    """Raise unless sigma is a length-n bijection on 0..n-1."""
+def permute(g: Graph, sigma: Sequence[int]) -> Graph:
+    """Relabel vertices: edge (u, v) becomes (sigma[u], sigma[v]). Raises
+    unless sigma is a bijection on 0..n-1."""
+    n = g.num_vertices
     if len(sigma) != n:
         raise ValueError(f"permutation length {len(sigma)} does not match {n} vertices")
     if sorted(sigma) != list(range(n)):
         raise ValueError("mapping is not a permutation of 0..n-1")
-
-
-def permute(g: Graph, sigma: Sequence[int]) -> Graph:
-    """Relabel vertices: edge (u, v) becomes (sigma[u], sigma[v])."""
-    check_permutation(sigma, g.num_vertices)
     return Graph(g.num_vertices, ((sigma[u], sigma[v]) for u, v in g.edges()))
 
 
 def permute_featured(fg: FeaturedGraph, sigma: Sequence[int]) -> FeaturedGraph:
     """Relabel a featured graph; feature row of u moves to sigma[u]."""
-    check_permutation(sigma, fg.graph.num_vertices)
-    n = fg.graph.num_vertices
+    g = permute(fg.graph, sigma)  # checks sigma
     feats = np.empty_like(fg.features)
-    for u in range(n):
-        feats[sigma[u]] = fg.features[u]
-    return FeaturedGraph.unchecked(permute(fg.graph, sigma), feats)
+    feats[list(sigma)] = fg.features
+    return FeaturedGraph.unchecked(g, feats)
 
 
 def degree_sequence(g: Graph) -> list[int]:
@@ -222,57 +214,36 @@ def text_blocks(text: str) -> list[list[str]]:
     return [block for block in blocks if block]
 
 
-def _drop_vertices(g: Graph, weights: np.ndarray, drop: set[int]) -> tuple[Graph, np.ndarray]:
-    keep = [v for v in range(g.num_vertices) if v not in drop]
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in g.edges()
-        if u not in drop and v not in drop
-    ]
-    return Graph(len(keep), edges), weights[keep]
-
-
-def _smallest_twin_pair(g: Graph) -> Optional[tuple[int, int]]:
-    # Twins have equal open neighborhoods, which forces them non-adjacent.
-    # A sorted neighbour tuple is already canonical, so it serves as the key.
-    by_nbhd: dict[tuple[int, ...], int] = {}
-    best = None
-    for v in range(g.num_vertices):
-        s = g.adjacency[v]
-        if s in by_nbhd:
-            pair = (by_nbhd[s], v)
-            if best is None or pair < best:
-                best = pair
-        else:
-            by_nbhd[s] = v
-    return best
-
-
 def twin_reduce(fg: FeaturedGraph) -> FeaturedGraph:
     """Contract twin vertices (weights add) and drop zero-weight vertices.
 
-    Requires scalar weights (p = 1), all non-negative. The reduction is
-    canonicalized by always contracting the lexicographically smallest
-    twin pair, so the output is deterministic; the reduced value is
-    independent of contraction order regardless.
+    Requires scalar weights (p = 1), all non-negative. The zero-weight
+    vertices go first. The rest are grouped by their open neighbourhood among
+    themselves; each class keeps its smallest vertex, whose weight adds the
+    others' in ascending order. One pass suffices: dropping a vertex can make
+    two others twins, but contracting twins never can, since every third
+    vertex is adjacent to both twins or to neither. The output is therefore
+    deterministic and equals contracting the lexicographically smallest twin
+    pair until none is left; the reduced value is independent of contraction
+    order regardless.
     """
     if fg.feature_dim != 1:
         raise ValueError("twin reduction supports scalar weights only (p = 1)")
-    weights = fg.features[:, 0].copy()
-    if weights.size and np.min(weights) < 0:
+    weights = fg.features[:, 0]
+    if (weights < 0).any():
         raise ValueError("twin reduction requires non-negative weights")
-    g = fg.graph
-    while True:
-        zeros = {v for v in range(g.num_vertices) if weights[v] == 0.0}
-        if zeros:
-            g, weights = _drop_vertices(g, weights, zeros)
-            continue
-        pair = _smallest_twin_pair(g)
-        if pair is None:
-            break
-        u, v = pair
-        weights = weights.copy()
-        weights[u] += weights[v]
-        g, weights = _drop_vertices(g, weights, {v})
-    return FeaturedGraph.unchecked(g, weights.reshape(-1, 1))
+    alive = dict.fromkeys(np.flatnonzero(weights).tolist())  # NaN stays, -0.0 goes
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in alive:
+        classes.setdefault(tuple(u for u in fg.graph.adjacency[v] if u in alive), []).append(v)
+    reduced = []
+    for first, *rest in classes.values():
+        w = weights[first]
+        for v in rest:
+            w += weights[v]
+        reduced.append(w)
+    index = {members[0]: i for i, members in enumerate(classes.values())}
+    edges = (
+        (index[u], index[v]) for u in index for v in fg.graph.adjacency[u] if u < v and v in index
+    )
+    return FeaturedGraph.unchecked(Graph(len(index), edges), np.reshape(reduced, (-1, 1)))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from homcount.evaluate import Hyper
-from homcount.graphs import Graph
+from homcount.graphs import FeaturedGraph, Graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -121,6 +121,43 @@ def reference_treedec(fg: Graph, td, g: Graph, weights=None):
                     new[key] = val * w[gv]
         tables[t] = new
     return tables[len(td.bags) - 1].get((), 0 if exact else 0.0)
+
+
+def reference_twin_reduce(fg: FeaturedGraph) -> FeaturedGraph:
+    """Oracle twin reduction: drop every zero-weight vertex, else contract
+    the lexicographically smallest twin pair, and rebuild the graph after
+    each step until neither applies. The library reduces in one pass over
+    neighbourhood classes; its graph and weight bytes equal this loop's."""
+    g = fg.graph
+    weights = fg.features[:, 0].copy()
+
+    def drop(g, weights, gone):
+        keep = [v for v in range(g.num_vertices) if v not in gone]
+        relabel = {v: i for i, v in enumerate(keep)}
+        edges = [(relabel[u], relabel[v]) for u, v in g.edges() if u not in gone and v not in gone]
+        return Graph(len(keep), edges), weights[keep]
+
+    while True:
+        zeros = {v for v in range(g.num_vertices) if weights[v] == 0.0}
+        if zeros:
+            g, weights = drop(g, weights, zeros)
+            continue
+        first: dict[tuple[int, ...], int] = {}
+        pair = None
+        for v in range(g.num_vertices):
+            s = g.adjacency[v]
+            if s in first:
+                if pair is None or (first[s], v) < pair:
+                    pair = (first[s], v)
+            else:
+                first[s] = v
+        if pair is None:
+            break
+        u, v = pair
+        weights = weights.copy()
+        weights[u] += weights[v]
+        g, weights = drop(g, weights, {v})
+    return FeaturedGraph.unchecked(g, weights.reshape(-1, 1))
 
 
 def random_simple_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -138,6 +138,53 @@ class TestParserErrors:
             parse_tud(tmp_path, "TOY")
 
 
+class TestBlankLines:
+    """Every reader skips lines that are blank after `strip`; items count
+    non-blank lines, and an error names the line's number in the file."""
+
+    ATTRIBUTES = b"0.5, 1\n2, -3\n0.25, 0\n1e3, 2\n-1, 2\n0, 0\n7, 1\n"
+
+    def _copy(self, directory):
+        directory.mkdir()
+        for src in (FIXTURES / "TOY").iterdir():
+            (directory / src.name).write_bytes(src.read_bytes())
+        (directory / "TOY_node_attributes.txt").write_bytes(self.ATTRIBUTES)
+        return directory
+
+    @pytest.mark.parametrize("blank", [b"\n", b" \t \r\n"], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize(
+        "suffix", ["A", "graph_indicator", "graph_labels", "node_labels", "node_attributes"]
+    )
+    def test_blank_lines_parse_to_toy(self, tmp_path, suffix, blank):
+        expected = parse_tud(self._copy(tmp_path / "plain"), "TOY")
+        directory = self._copy(tmp_path / "blank")
+        path = directory / f"TOY_{suffix}.txt"
+        data = path.read_bytes()
+        cut = data.index(b"\n") + 1
+        path.write_bytes(data[:cut] + blank + data[cut:] + blank)  # after line 1 and at the end
+        bundle = parse_tud(directory, "TOY")
+        assert bundle.graphs == expected.graphs
+        assert bundle.labels == expected.labels
+        assert [f.tobytes() for f in bundle.features] == [f.tobytes() for f in expected.features]
+
+    @pytest.mark.parametrize(
+        "suffix, text, message",
+        [
+            ("graph_labels", "7\n\n  \nx\n", "TOY_graph_labels.txt:4: expected an integer, got 'x'"),
+            ("graph_indicator", "1\n \n0\n1\n2\n2\n2\n2\n", "indicator.txt:3: graph id must be >= 1"),
+            ("node_labels", "\n0\n1\n0\n2\n1\n1\nq\n", "TOY_node_labels.txt:8: expected an integer"),
+            ("A", "1, 2\n\n2, 1\n1, 1\n", "TOY_A.txt:4: self-loop"),
+            ("node_attributes", "1\n\n\t\n2, 3\n", "TOY_node_attributes.txt:4: expected 1 finite"),
+        ],
+        ids=["graph_labels", "graph_indicator", "node_labels", "A", "node_attributes"],
+    )
+    def test_error_names_line_in_file(self, tmp_path, suffix, text, message):
+        directory = self._copy(tmp_path / "toy")
+        (directory / f"TOY_{suffix}.txt").write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            parse_tud(directory, "TOY")
+
+
 class TestParserFuzz:
     """Seeded line and byte mutations of the TOY files: `parse_tud` returns a
     valid bundle or raises `DataFormatError`, and nothing else escapes."""
@@ -209,6 +256,16 @@ class TestRoundTrip:
         assert again.graphs == bundle.graphs
         assert again.labels == bundle.labels
         assert again.features is None
+
+    def test_unused_label_columns_do_not_come_back(self, tmp_path):
+        # parse_tud makes one column per label value it sees, so a one-hot
+        # block round-trips exactly only when every column occurs
+        onehot = np.zeros((2, 3))
+        onehot[:, 0] = 1.0
+        bundle = DatasetBundle("ONEHOT", [Graph(2, [(0, 1)])], [0], [onehot])
+        write_tud(bundle, tmp_path)
+        (features,) = parse_tud(tmp_path, "ONEHOT").features
+        assert features.shape == (2, 1) and (features == 1.0).all()
 
     def test_attributed_roundtrip_is_bit_exact(self, tmp_path):
         graphs = [Graph(3, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])]

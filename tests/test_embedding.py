@@ -213,6 +213,41 @@ class TestCsvOutput:
         cells = np.array([[float(cell) for cell in row] for row in rows])
         assert cells.tobytes() == m.values.tobytes()
 
+    def test_affine_header_is_quoted(self, tmp_path):
+        # the label `affine([0.37, -0.61],0.05)` holds two commas
+        import csv
+
+        graphs = [Graph(3, [(0, 1), (1, 2)]), Graph(2, [(0, 1)])]
+        feats = [np.full((3, 2), 0.5), np.full((2, 2), 0.25)]
+        bundle = DatasetBundle(name="affine", graphs=graphs, labels=[0, 1], features=feats)
+        m = embed(bundle, "paths:3", phi_set=[PhiFunction.affine([0.37, -0.61], 0.05)])
+        out = tmp_path / "emb.csv"
+        write_embedding_csv(m, bundle, out)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {2 + m.values.shape[1]}
+        assert rows[0] == ["graph_id", "label"] + column_names(m)
+        cells = np.array([[float(cell) for cell in row[2:]] for row in rows[1:]])
+        assert cells.tobytes() == m.values.tobytes()
+
+    def test_constant_and_coordinate_bytes_pinned(self, tmp_path):
+        # no name needs quoting, so the file keeps the bytes of the plain comma join
+        bundle = small_bundle()
+        feats = [np.linspace(0, 1, g.num_vertices).reshape(-1, 1) for g in bundle.graphs]
+        bundle = DatasetBundle(name="small", graphs=bundle.graphs, labels=bundle.labels,
+                               features=feats)
+        phis = [PhiFunction.constant_one(), PhiFunction.coordinate(0)]
+        m = embed(bundle, "paths:3", phi_set=phis)
+        out = tmp_path / "emb.csv"
+        write_embedding_csv(m, bundle, out)
+        assert out.read_bytes() == (
+            b"graph_id,label,path2_0,path2_0_x[0],path3_1,path3_1_x[0]\n"
+            b"0,0,6.0,1.0,12.0,0.75\n"
+            b"1,1,6.0,1.7777777777777777,10.0,1.7777777777777777\n"
+            b"2,0,8.0,0.0,20.0,0.0\n"
+            b"3,1,8.0,1.7777777777777777,16.0,1.7777777777777777\n"
+        )
+
 
 def _meta(d):
     from homcount.embedding import ColumnMeta

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import reference_twin_reduce
 from homcount.graphs import (
     FeaturedGraph,
     Graph,
@@ -238,3 +239,72 @@ class TestTwinReduce:
             nbhds = out.graph.adjacency
             assert len(set(nbhds)) == len(nbhds), "twins remain after reduction"
             assert (out.features[:, 0] > 0).all()
+
+
+class TestTwinReduceOnePass:
+    """`twin_reduce` against `reference_twin_reduce`, the pairwise loop it
+    replaced: the same graph and the same weight bytes."""
+
+    WEIGHTS = (0.0, 1e-300, 1e300, float("inf"), 0.1, 0.2, 0.3, 1 / 3, 0.5, 1.0, 2.0, 7.0)
+
+    def _graph(self, rng):
+        n = rng.randint(0, 8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        adjacency = [set() for _ in range(n)]
+        for u, v in edges:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        while len(adjacency) < 14 and rng.random() < 0.7:
+            kind = rng.choice(["twin", "twin", "isolated", "near-twin"])
+            new = len(adjacency)
+            if kind == "isolated" or not adjacency:
+                nbhd = set()
+            else:
+                # a twin of any vertex, planted twins included, so twins of twins occur;
+                # a near-twin differs in one vertex, which a zero weight may then drop
+                nbhd = set(adjacency[rng.randrange(new)])
+                if kind == "near-twin":
+                    nbhd ^= {rng.randrange(new)}
+            adjacency.append(nbhd)
+            for u in nbhd:
+                adjacency[u].add(new)
+        edges = [(u, v) for u in range(len(adjacency)) for v in adjacency[u] if u < v]
+        return Graph(len(adjacency), edges)
+
+    def test_matches_pairwise_contraction(self):
+        rng = random.Random(27)
+        sizes = set()
+        for trial in range(1200):
+            g = self._graph(rng)
+            sizes.add(g.num_vertices)
+            if rng.random() < 0.3:
+                weights = [rng.choice(self.WEIGHTS) for _ in range(g.num_vertices)]
+            else:
+                weights = [rng.choice((0.0, rng.random())) for _ in range(g.num_vertices)]
+            fg = FeaturedGraph.unchecked(g, np.reshape(weights, (-1, 1)))
+            out, ref = twin_reduce(fg), reference_twin_reduce(fg)
+            assert out.graph.adjacency == ref.graph.adjacency, (trial, g.adjacency, weights)
+            assert out.features.shape == ref.features.shape
+            assert out.features.tobytes() == ref.features.tobytes(), (trial, g.adjacency, weights)
+        assert sizes == set(range(15))
+
+    def test_negative_weight_beside_nan_rejected(self):
+        # np.min of a column holding NaN is NaN, which hid the negative weight
+        fg = FeaturedGraph.unchecked(Graph(2), [[float("nan")], [-1.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            twin_reduce(fg)
+
+    def test_builds_one_graph(self, monkeypatch):
+        star = FeaturedGraph(Graph(301, [(0, v) for v in range(1, 301)]), [[1.0]] * 301)
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        out = twin_reduce(star)
+        assert len(built) == 1
+        assert out.graph.adjacency == ((1,), (0,))
+        assert out.features[:, 0].tolist() == [1.0, 300.0]
