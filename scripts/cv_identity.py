@@ -29,10 +29,10 @@ Two more lines give column 4 for the labeled graphs of perfbench's
 `labeled-embed` workload (`gen_labeled(0, 100)` with cycles:6 and trees:6
 under the default encoders), with "-" in the CV columns. One-hot label
 weights keep every weighted sum an integer, so those lines cannot see a
-change in summation order. The next two lines therefore embed
-`gen_labeled(0, 30)` under one affine encoder with non-integer weights,
-once with cycles:6 and once with the custom non-tree patterns K4, the
-diamond, the bowtie and the banner.
+change in summation order. The next three lines therefore embed
+`gen_labeled(0, 30)` under one affine encoder with non-integer weights:
+with cycles:6, with trees:6 (the one line on weighted trees) and with the
+custom non-tree patterns K4, the diamond, the bowtie and the banner.
 
 The next line gives column 4 for 20 seeded dense graphs, G(n, 0.9) with
 n from 40 to 60, under cycles:14. Every one of their chains of adjacency
@@ -65,7 +65,7 @@ planted twins, twins of twins, isolated vertices and zero weights, and for
 the star with 2,000 leaves. Its weights are non-integer, so the line sees
 the order in which a class adds its weights as well as which vertices
 survive. It reads the same for the one-pass reduction as for the pairwise
-loop it replaced; run the script from a checkout of each to compare.
+loop it replaced.
 
 Lines that moved by design: the exact codes from the
 individualization-refinement search (every size, in place of the 8-vertex
@@ -74,11 +74,12 @@ csl/cycles:32 and dense/cycles:14, whose C9 to C32 and C9 to C14 used to
 read `g{k}m{k}:wl[0x{k}]`. Every count, C3 to C8, K3,3, every tree and
 the four custom non-trees kept their bytes, so no other line moved.
 
-Two commits give the same embeddings, fold results and weights exactly
-when the first six columns match:
+A revision and this checkout give the same embeddings, fold results and
+weights exactly when the first six columns match. `scripts/identity_diff.sh
+[REV]` runs this script on both (REV defaults to HEAD) and prints the diff
+of those columns, nothing when they match:
 
-    python3 scripts/cv_identity.py | cut -f1-6 > ids.txt    # on each commit
-    diff ids_before.txt ids_after.txt
+    scripts/identity_diff.sh HEAD~1    # the parent commit against this checkout
 
 Run from the repository root; it takes about 30 seconds on two cores.
 """
@@ -224,6 +225,7 @@ def main() -> None:
     small = gen_labeled(0, 30)
     real_families = {
         "cycles:6": "cycles:6",
+        "trees:6": "trees:6",
         "+".join(NON_TREES): [custom_pattern(g) for g in NON_TREES.values()],
     }
     for name, family in real_families.items():

@@ -4,9 +4,11 @@ Builds seeds (Paley graph over GF(25) and the order-5 Latin square graphs),
 then closes the family under Godsil-McKay switching on 4-vertex sets,
 Seidel two-graph descendants, and complementation. Every member is verified
 to satisfy A^2 = 12 I + 5 A + 6 (J - I - A); pairwise non-isomorphism is
-established with an exact backtracking test seeded by local invariants.
+established with homcount's exact canonical code
+(`patterns.canonical_adjacency_code`), and local invariants order the output.
 
 Run from the repository root:  python scripts/make_paulus_fixture.py
+Every candidate graph is coded, so a run takes about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from homcount.graphs import Graph  # noqa: E402
+from homcount.patterns import canonical_adjacency_code  # noqa: E402
 
 N = 25
 K = 12
@@ -233,52 +240,10 @@ def local_invariant(a: np.ndarray) -> tuple:
     return tuple(sorted(sigs))
 
 
-def vertex_colors(a: np.ndarray) -> list[int]:
-    sigs = []
-    for v in range(N):
-        nb = np.flatnonzero(a[v])
-        sub = a[np.ix_(nb, nb)]
-        tri = int((sub @ sub * sub).sum() // 6)
-        prof = tuple(sorted(((sub @ sub) * sub).sum(axis=1) // 2))
-        sigs.append((tri, prof))
-    palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return [palette[s] for s in sigs]
-
-
-def isomorphic(a: np.ndarray, b: np.ndarray) -> bool:
-    ca, cb = vertex_colors(a), vertex_colors(b)
-    if sorted(ca) != sorted(cb):
-        return False
-    order = sorted(range(N), key=lambda v: (ca[v], -int(a[v].sum())))
-    candidates = [
-        [u for u in range(N) if cb[u] == ca[v]] for v in range(N)
-    ]
-    mapping = [-1] * N
-    used = [False] * N
-
-    def place(i: int) -> bool:
-        if i == N:
-            return True
-        v = order[i]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            ok = True
-            for j in range(i):
-                w = order[j]
-                if a[v, w] != b[u, mapping[w]]:
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = u
-                used[u] = True
-                if place(i + 1):
-                    return True
-                used[u] = False
-                mapping[v] = -1
-        return False
-
-    return place(0)
+def canonical_code(a: np.ndarray) -> str:
+    """The exact code of the graph with adjacency matrix `a`: equal codes
+    iff isomorphic."""
+    return canonical_adjacency_code(Graph(N, np.argwhere(np.triu(a)).tolist()))
 
 
 # --- search ----------------------------------------------------------------
@@ -286,14 +251,13 @@ def isomorphic(a: np.ndarray, b: np.ndarray) -> bool:
 
 def main() -> int:
     seeds = [paley_25()]
-    ls_graphs = []
+    ls_graphs: dict[str, np.ndarray] = {}  # one latin-square graph per code
     for sq in latin_squares_order5():
         g = latin_square_graph(sq)
-        if not any(isomorphic(g, h) for h in ls_graphs):
-            ls_graphs.append(g)
+        ls_graphs.setdefault(canonical_code(g), g)
         if len(ls_graphs) >= 2:
             break
-    seeds.extend(ls_graphs)
+    seeds.extend(ls_graphs.values())
     print(f"seeds: paley + {len(ls_graphs)} latin-square graphs")
     for s in seeds:
         assert is_srg(s)
@@ -316,14 +280,15 @@ def main() -> int:
 
     classes: list[np.ndarray] = []
     invariants: list[tuple] = []
+    codes: set[str] = set()
 
     def register(g: np.ndarray) -> bool:
-        inv = local_invariant(g)
-        for i, rep in enumerate(classes):
-            if invariants[i] == inv and isomorphic(g, rep):
-                return False
+        code = canonical_code(g)
+        if code in codes:
+            return False
+        codes.add(code)
         classes.append(g)
-        invariants.append(inv)
+        invariants.append(local_invariant(g))
         return True
 
     frontier = []

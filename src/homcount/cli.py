@@ -39,16 +39,13 @@ def _emit(payload: dict, out: str | None) -> None:
     print(text)
 
 
+_GENERATORS = {"csl": datasets.gen_csl, "bipartite": datasets.gen_bipartite_er,
+               "paulus": datasets.load_paulus}
+
+
 def _load_bundle(args) -> datasets.DatasetBundle:
     if getattr(args, "generate", None):
-        kind = args.generate
-        if kind == "csl":
-            return datasets.gen_csl(seed=args.seed)
-        if kind == "bipartite":
-            return datasets.gen_bipartite_er(seed=args.seed)
-        if kind == "paulus":
-            return datasets.load_paulus(seed=args.seed)
-        raise ValueError(f"unknown generator {kind!r}")
+        return _GENERATORS[args.generate](seed=args.seed)
     directory = Path(args.dataset)
     name = args.name or datasets.find_tud_name(directory)
     return datasets.parse_tud(directory, name)
@@ -77,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--out", default=None)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset in TU format")
-    p_gen.add_argument("kind", choices=["csl", "bipartite", "paulus"])
+    p_gen.add_argument("kind", choices=list(_GENERATORS))
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--copies-per-class", type=int, default=15, help="csl and paulus only")
@@ -89,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_data_args(p):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--dataset", help="TU-format directory")
-        group.add_argument("--generate", choices=["csl", "bipartite", "paulus"])
+        group.add_argument("--generate", choices=list(_GENERATORS))
         p.add_argument("--name", default=None, help="dataset name if ambiguous")
         p.add_argument("--family", required=True, help=_SPEC_HELP)
         p.add_argument("--phi", choices=["auto", "constant"], default="auto")

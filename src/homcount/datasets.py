@@ -23,6 +23,9 @@ from .graphs import Graph, check_feature_range, is_bipartite, permute, text_bloc
 from .hom import _walk_traces
 
 DEFAULT_CSL_SKIPS = (2, 3, 4, 5, 6, 9, 11, 12, 13, 16)
+BIPARTITE_SIZES = (40, 100)  # vertex counts drawn uniformly, both ends included
+P_BIPARTITE = 0.2  # chance of each cross pair in a bipartite graph
+P_ER = 0.1  # chance of each pair in an Erdos-Renyi graph
 
 
 class DataFormatError(ValueError):
@@ -165,11 +168,9 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
         node_labels = [_int_token(tok, nl_path, lineno) for lineno, tok in _read_lines(nl_path)]
         if len(node_labels) != len(indicator):
             raise DataFormatError(f"{nl_path.name}: expected {len(indicator)} lines")
-        values = sorted(set(node_labels))
-        vmap = {v: i for i, v in enumerate(values)}
+        values = sorted(set(node_labels))  # one column per value, ascending
         onehot = np.zeros((len(indicator), len(values)))
-        for i, lab in enumerate(node_labels):
-            onehot[i, vmap[lab]] = 1.0
+        onehot[np.arange(len(indicator)), np.searchsorted(values, node_labels)] = 1.0
         blocks.append(onehot)
     na_path = directory / f"{name}_node_attributes.txt"
     if na_path.is_file():
@@ -272,11 +273,6 @@ def csl_template(num_vertices: int, skip: int) -> Graph:
     return g
 
 
-def _cycle_profile(g: Graph, max_k: int = 8) -> tuple[int, ...]:
-    """hom(C_k, g) for k = 2..max_k, from one chain of adjacency powers."""
-    return tuple(_walk_traces(g, max_k)[2:])
-
-
 def _permuted_copies(
     templates: Sequence[Graph], copies_per_class: int, seed: int
 ) -> tuple[list[Graph], list[int]]:
@@ -308,7 +304,7 @@ def gen_csl(
     validated to have pairwise distinct profiles at generation time.
     """
     templates = [csl_template(num_vertices, r) for r in skips]
-    profiles = [_cycle_profile(t) for t in templates]
+    profiles = [_walk_traces(t, 8)[2:] for t in templates]  # hom(C_k, t), k = 2..8
     for i in range(len(skips)):
         for j in range(i + 1, len(skips)):
             if profiles[i] == profiles[j]:
@@ -331,24 +327,19 @@ def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def gen_bipartite_er(
-    total: int = 200,
-    n_range: tuple[int, int] = (40, 100),
-    p_bipartite: float = 0.2,
-    p_er: float = 0.1,
-    seed: int = 0,
-) -> DatasetBundle:
+def gen_bipartite_er(total: int = 200, seed: int = 0) -> DatasetBundle:
     """Half random bipartite graphs (class 0), half Erdos-Renyi (class 1).
 
-    Bipartite graphs split the vertices as evenly as possible and include
-    each cross pair with probability p_bipartite. Erdos-Renyi samples that
-    happen to be bipartite are rejected and redrawn so class labels stay
-    truthful.
+    Each graph has 40 to 100 vertices (`BIPARTITE_SIZES`). Bipartite graphs
+    split the vertices as evenly as possible and include each cross pair
+    with probability 0.2 (`P_BIPARTITE`); Erdos-Renyi graphs include each
+    pair with probability 0.1 (`P_ER`). Erdos-Renyi samples that happen to
+    be bipartite are rejected and redrawn so class labels stay truthful.
     """
     if total < 2:
         raise ValueError(f"total must be at least 2, one graph per class, got {total}")
     rng = random.Random(seed)
-    lo, hi = n_range
+    lo, hi = BIPARTITE_SIZES
     graphs, labels = [], []
     for _ in range(total // 2):
         n = rng.randint(lo, hi)
@@ -357,15 +348,15 @@ def gen_bipartite_er(
             (u, v)
             for u in range(left)
             for v in range(left, n)
-            if rng.random() < p_bipartite
+            if rng.random() < P_BIPARTITE
         ]
         graphs.append(Graph(n, edges))
         labels.append(0)
     for _ in range(total - total // 2):
         n = rng.randint(lo, hi)
-        g = _random_graph(n, p_er, rng)
+        g = _random_graph(n, P_ER, rng)
         while is_bipartite(g):
-            g = _random_graph(n, p_er, rng)
+            g = _random_graph(n, P_ER, rng)
         graphs.append(g)
         labels.append(1)
     return DatasetBundle(

@@ -338,18 +338,13 @@ def _run_folds(
     labels = np.asarray(bundle.labels, dtype=np.int64)
     folds = [fold for repeat in splits for fold in repeat]
     by_size: dict[int, list] = {}  # train-set size -> (x, y) of each distinct problem
-    # (size, hash of x's bytes, hash of y's bytes) -> the problem's stack slot.
-    # The builtin hash: importing hashlib alone adds 3 MB of resident memory.
-    seen: dict[tuple[int, int, int], int] = {}
+    seen: dict[tuple[int, bytes, bytes], int] = {}  # (size, x's bytes, y's bytes) -> stack slot
     place, test_x = [], []  # each fold's (size, slot) and test rows
     for train_idx, test_idx in folds:
         values = apply_standardizer(matrix, fit_standardizer(matrix, rows=train_idx)).values
         x, y = values[train_idx], labels[train_idx]
         n, problems = len(train_idx), by_size.setdefault(len(train_idx), [])
-        xb, yb = x.tobytes(), y.tobytes()
-        j = seen.setdefault((n, hash(xb), hash(yb)), len(problems))
-        if j < len(problems) and (xb, yb) != (problems[j][0].tobytes(), problems[j][1].tobytes()):
-            j = len(problems)  # a hash collision: train it apart
+        j = seen.setdefault((n, x.tobytes(), y.tobytes()), len(problems))
         if j == len(problems):
             problems.append((x, y))
         place.append((n, j))

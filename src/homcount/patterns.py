@@ -64,24 +64,18 @@ def _is_cycle(g: Graph) -> bool:
 
 
 def _tree_centers(g: Graph) -> list[int]:
-    n = g.num_vertices
-    if n <= 2:
-        return list(range(n))
-    degree = [g.degree(v) for v in range(n)]
-    layer = [v for v in range(n) if degree[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for u in g.adjacency[v]:
-                if degree[u] > 1:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(layer)
+    """The middle one or two vertices, ascending, of a longest path. A
+    vertex farthest from any vertex ends one, so two walks find it."""
+    end = 0
+    for _ in range(2):  # to a farthest vertex from 0, then to one farthest from it
+        depth, parent = {-1: -1}, {}
+        for v, p in rooted_order(g, end):
+            depth[v], parent[v] = depth[p] + 1, p
+        start, end = end, max(parent, key=depth.__getitem__)
+    path = [end]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
 def _rooted_ahu(g: Graph, root: int) -> str:
@@ -348,30 +342,6 @@ def _elimination_bags(g: Graph, order: Sequence[int]) -> tuple[list[frozenset[in
     return bags, parent
 
 
-class _NiceBuilder:
-    def __init__(self):
-        self.bags: list[frozenset[int]] = []
-        self.kinds: list[str] = []
-        self.children: list[tuple[int, ...]] = []
-
-    def add(self, bag: frozenset[int], kind: str, children: Sequence[int] = ()) -> int:
-        self.bags.append(bag)
-        self.kinds.append(kind)
-        self.children.append(tuple(sorted(children)))
-        return len(self.bags) - 1
-
-    def chain_up(self, node: int, source: frozenset[int], target: frozenset[int]) -> int:
-        """Forget then introduce, one vertex per step, from source to target."""
-        bag = source
-        for v in sorted(source - target):
-            bag = bag - {v}
-            node = self.add(bag, "forget", [node])
-        for v in sorted(target - source):
-            bag = bag | {v}
-            node = self.add(bag, "introduce", [node])
-        return node
-
-
 def build_nice_decomposition(g: Graph, order: Sequence[int]) -> TreeDecomposition:
     """Nice tree decomposition of g from an elimination order.
 
@@ -384,22 +354,34 @@ def build_nice_decomposition(g: Graph, order: Sequence[int]) -> TreeDecompositio
     if g.num_vertices == 0:
         return TreeDecomposition((frozenset(),), ((),), ("leaf",), -1)
     bags, parent = _elimination_bags(g, order)
+    nodes: list[tuple[frozenset[int], tuple[int, ...], str]] = []  # (bag, children, kind)
+
+    def add(bag: frozenset[int], kind: str, *children: int) -> int:
+        nodes.append((bag, tuple(sorted(children)), kind))
+        return len(nodes) - 1
+
+    def chain_up(node: int, source: frozenset[int], target: frozenset[int]) -> int:
+        """Forget then introduce, one vertex per step, from source to target."""
+        bag = source
+        for v in sorted(source - target):
+            bag = bag - {v}
+            node = add(bag, "forget", node)
+        for v in sorted(target - source):
+            bag = bag | {v}
+            node = add(bag, "introduce", node)
+        return node
+
     arms: list[list[int]] = [[] for _ in bags]  # per bag, its children chained up to it
-    nb = _NiceBuilder()
     for t, bag in enumerate(bags):
-        node = arms[t][0] if arms[t] else nb.chain_up(nb.add(frozenset(), "leaf"), frozenset(), bag)
+        node = arms[t][0] if arms[t] else chain_up(add(frozenset(), "leaf"), frozenset(), bag)
         for arm in arms[t][1:]:
-            node = nb.add(bag, "join", [node, arm])
+            node = add(bag, "join", node, arm)
         if parent[t] < 0:
-            nb.chain_up(node, bag, frozenset())  # the root, last of all
+            chain_up(node, bag, frozenset())  # the root, last of all
         else:
-            arms[parent[t]].append(nb.chain_up(node, bag, bags[parent[t]]))
-    td = TreeDecomposition(
-        bags=tuple(nb.bags),
-        children=tuple(nb.children),
-        node_kind=tuple(nb.kinds),
-        width=max(len(b) for b in nb.bags) - 1,
-    )
+            arms[parent[t]].append(chain_up(node, bag, bags[parent[t]]))
+    nice_bags, children, kinds = zip(*nodes)
+    td = TreeDecomposition(nice_bags, children, kinds, max(map(len, nice_bags)) - 1)
     validate_decomposition(td, g)
     return td
 

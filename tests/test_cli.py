@@ -198,15 +198,16 @@ class TestGenEvalPipeline:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("CSL kbip:1,2: mean=")
 
-    def test_pipe_equals_generate_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["csl", "bipartite", "paulus"])
+    def test_pipe_equals_generate_path(self, kind, tmp_path, capsys):
         out = tmp_path / "d"
-        main(["gen", "paulus", "--seed", "0", "--out", str(out), "--copies-per-class", "15"])
+        assert main(["gen", kind, "--seed", "3", "--out", str(out)]) == 0
         capsys.readouterr()
         piped = tmp_path / "piped.json"
         direct = tmp_path / "direct.json"
         args = ["--family", "cycles:8", "--k", "5", "--repeats", "1", "--seed", "3"]
         assert main(["eval", "--dataset", str(out), "--out", str(piped)] + args) == 0
-        assert main(["eval", "--generate", "paulus", "--out", str(direct)] + args) == 0
+        assert main(["eval", "--generate", kind, "--out", str(direct)] + args) == 0
         a = json.loads(piped.read_text())
         b = json.loads(direct.read_text())
         for report in (a, b):

@@ -13,6 +13,7 @@ from homcount.datasets import load_paulus
 from homcount.graphs import Graph, disjoint_union, permute
 from homcount.patterns import (
     TreeDecomposition,
+    _tree_centers,
     build_nice_decomposition,
     canonical_adjacency_code,
     canonical_tree_code,
@@ -120,6 +121,15 @@ class TestCanonicalCodes:
             relabeled = Graph(p.size, [(sigma[u], sigma[v]) for u, v in p.graph.edges()])
             assert canonical_tree_code(relabeled) == p.canonical_code
 
+    def test_centers_are_the_vertices_of_least_eccentricity(self):
+        rng = random.Random(19)
+        for tree in [Graph(1)] + [p.graph for p in enumerate_trees(10)]:
+            sigma = list(range(tree.num_vertices))
+            rng.shuffle(sigma)
+            g = permute(tree, sigma)
+            ecc = [max(bfs_distances(g, v)) for v in range(g.num_vertices)]
+            assert _tree_centers(g) == [v for v in range(g.num_vertices) if ecc[v] == min(ecc)]
+
     def test_adjacency_code_exact_small(self):
         rng = random.Random(29)
         for _ in range(15):
@@ -139,6 +149,18 @@ class TestCanonicalCodes:
         graphs = [random_simple_graph(rng, 7, rng.random()) for _ in range(20)]
         cube = Graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
         assert_codes_split_as_the_oracle(graphs + [cube])
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Edge distances from `source` to every vertex of a connected graph."""
+    dist = [-1] * g.num_vertices
+    dist[source], queue = 0, [source]
+    for u in queue:
+        for v in g.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def assert_codes_split_as_the_oracle(graphs) -> None:
@@ -295,6 +317,16 @@ class TestTreewidth:
         pairs = json.dumps([treewidth_exact(g) for g in seeded_graphs(43, 200, 10)])
         digest = "b16db004495ee416bfece9933e70bfc588a7801d6887182a455a03fc036c78aa"
         assert hashlib.sha256(pairs.encode()).hexdigest() == digest
+
+    def test_decompositions_of_seeded_graphs_are_pinned(self):
+        # sha256 of the bags, children and node kinds, as JSON, that the
+        # builder gave from those orders when it kept its nodes in a class
+        records = []
+        for g in seeded_graphs(43, 200, 10):
+            td = build_nice_decomposition(g, treewidth_exact(g)[1])
+            records.append([[sorted(b) for b in td.bags], td.children, td.node_kind])
+        digest = "9c4eaced3b945931c3f88394e5ad9f824683002a10e6917b1845eb98be0f9112"
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
 
 class TestNiceDecomposition:
