@@ -77,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("kind", choices=list(_GENERATORS))
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--copies-per-class", type=int, default=15, help="csl and paulus only")
-    p_gen.add_argument("--num-vertices", type=int, default=41, help="csl only")
-    p_gen.add_argument("--skips", default=None, help="csl only, comma-separated")
-    p_gen.add_argument("--total", type=int, default=200, help="bipartite only")
-    p_gen.add_argument("--paulus-file", default=None)
+    p_gen.add_argument("--copies-per-class", type=int, help="csl and paulus only (default 15)")
+    p_gen.add_argument("--num-vertices", type=int, help="csl only (default 41)")
+    p_gen.add_argument("--skips", help="csl only, comma-separated")
+    p_gen.add_argument("--total", type=int, help="bipartite only (default 200)")
+    p_gen.add_argument("--paulus-file", help="paulus only")
 
     def add_data_args(p):
         group = p.add_mutually_exclusive_group(required=True)
@@ -160,7 +160,27 @@ def _cmd_hom(args) -> int:
     return 0
 
 
+# Each `gen` kind's own options and their defaults. An option of another
+# kind is an error rather than ignored, and only the kind's own options go
+# into the dataset's config JSON.
+_GEN_OPTIONS = {
+    "csl": {"copies_per_class": 15, "num_vertices": 41, "skips": None},
+    "bipartite": {"total": 200},
+    "paulus": {"copies_per_class": 15, "paulus_file": None},
+}
+
+
 def _cmd_gen(args) -> int:
+    own = _GEN_OPTIONS[args.kind]
+    foreign = sorted({name for options in _GEN_OPTIONS.values() for name in options} - set(own))
+    given = ["--" + name.replace("_", "-") for name in foreign if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"gen {args.kind} does not take {', '.join(given)}")
+    for name in foreign:
+        delattr(args, name)
+    for name, default in own.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.kind == "csl":
         skips = (
             tuple(int(s) for s in args.skips.split(","))

@@ -304,7 +304,7 @@ def gen_csl(
     validated to have pairwise distinct profiles at generation time.
     """
     templates = [csl_template(num_vertices, r) for r in skips]
-    profiles = [_walk_traces(t, 8)[2:] for t in templates]  # hom(C_k, t), k = 2..8
+    profiles = [t[2:] for t in _walk_traces(templates, 8)]  # hom(C_k, t), k = 2..8
     for i in range(len(skips)):
         for j in range(i + 1, len(skips)):
             if profiles[i] == profiles[j]:

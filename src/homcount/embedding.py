@@ -16,11 +16,11 @@ import numpy as np
 
 from .datasets import DatasetBundle, write_output
 from .graphs import FeaturedGraph
-from .hom import PhiFunction, _as_float, _classify, _count_row, _to_density
+from .hom import PhiFunction, _as_float, _classify, _count_rows, _to_density
 from .patterns import Pattern, resolve_family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnMeta:
     pattern_index: int
     family: str
@@ -86,13 +86,13 @@ def embed(
         ]
 
     catalog = _classify(patterns)
-    columns = [(pi, phi) for pi in range(len(patterns)) for phi in phis]
-    values = np.zeros((len(targets), len(columns)), dtype=np.float64)
-    promoted = [False] * len(columns)
+    width = len(patterns) * len(phis)  # column pi * len(phis) + q is (pattern pi, encoder q)
+    values = np.zeros((len(targets), width), dtype=np.float64)
+    promoted = [False] * width
 
-    for i, target in enumerate(targets):
-        for q, phi in enumerate(phis):
-            for pi, total in enumerate(_count_row(catalog, target, phi)[0]):
+    for q, phi in enumerate(phis):
+        for i, row in enumerate(_count_rows(catalog, targets, phi)[0]):
+            for pi, total in enumerate(row):
                 j = pi * len(phis) + q
                 cell = _as_float(total)
                 promoted[j] = promoted[j] or cell != total  # on the count, not the density
@@ -102,17 +102,19 @@ def embed(
 
     if log1p:
         values = np.log1p(values)
+    labels = [phi.label() for phi in phis]  # one string per encoder, shared by its columns
     meta = [
         ColumnMeta(
             pattern_index=pi,
-            family=patterns[pi].family,
-            size=patterns[pi].size,
-            canonical_code=patterns[pi].canonical_code,
-            phi=phi.label(),
+            family=p.family,
+            size=p.size,
+            canonical_code=p.canonical_code,
+            phi=label,
             density=density,
-            promoted=promoted[j],
+            promoted=promoted[pi * len(phis) + q],
         )
-        for j, (pi, phi) in enumerate(columns)
+        for pi, p in enumerate(patterns)
+        for q, label in enumerate(labels)
     ]
     return EmbeddingMatrix(values=values, column_meta=meta)
 
@@ -122,10 +124,16 @@ def fit_standardizer(m: EmbeddingMatrix, rows: Optional[Sequence[int]] = None) -
     data = m.values if rows is None else m.values[np.asarray(rows, dtype=np.intp)]
     if data.shape[0] == 0:
         raise ValueError("cannot fit a standardizer on an empty matrix")
-    mean = data.mean(axis=0)
+    return ScalerParams(*_moments(data))
+
+
+def _moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation over axis 0, the rows, with every zero
+    deviation replaced by 1. numpy adds the rows in order, so a block of
+    F row sets side by side, (n, F, d), gets each set's bits as an (n, d)
+    array would."""
     std = data.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return ScalerParams(mean=mean, stddev=std)
+    return data.mean(axis=0), np.where(std > 0, std, 1.0)
 
 
 def apply_standardizer(m: EmbeddingMatrix, params: ScalerParams) -> EmbeddingMatrix:

@@ -58,12 +58,7 @@ class Graph:
                     yield (u, v)
 
     def adjacency_matrix(self) -> np.ndarray:
-        n = self.num_vertices
-        a = np.zeros((n, n), dtype=np.int64)
-        u = np.repeat(np.arange(n), list(map(len, self.adjacency)))  # each u, deg(u) times
-        v = np.fromiter(chain.from_iterable(self.adjacency), np.intp)  # u's neighbours in turn
-        a[u, v] = 1  # every arc, both directions
-        return a
+        return adjacency_stack([self], self.num_vertices)[0].astype(np.int64)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -75,6 +70,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
+
+
+def adjacency_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    """The float64 adjacency matrices of graphs on n vertices each, stacked
+    as one (len(graphs), n, n) array."""
+    nbrs = [nb for g in graphs for nb in g.adjacency]  # one row of the stack each
+    degrees = list(map(len, nbrs))
+    a = np.zeros((len(nbrs), n))
+    u = np.repeat(np.arange(len(nbrs)), degrees)  # each row, deg times
+    v = np.fromiter(chain.from_iterable(nbrs), np.intp, sum(degrees))  # its neighbours in turn
+    a[u, v] = 1.0  # every arc, both directions
+    return a.reshape(len(graphs), n, n)
 
 
 def check_feature_range(features: np.ndarray) -> None:

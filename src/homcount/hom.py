@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import FeaturedGraph, Graph, rooted_order
+from .graphs import FeaturedGraph, Graph, adjacency_stack, rooted_order
 from .patterns import (
     Pattern,
     TreeDecomposition,
@@ -207,34 +207,93 @@ def _tree_dp(fg: Graph, g: Graph, weights: Optional[Sequence[float]]) -> Union[i
 # cycles via closed walks
 
 
-def _walk_traces(g: Graph, k: int) -> list[int]:
-    """Exact traces of A^0..A^k (closed walks of each length up to k), from
-    one chain of products A^2, A^3, ..., A^k; k >= 1.
+# The largest (G, n, n) float64 stack of adjacency matrices `_walk_traces`
+# builds. The chain keeps three stacks live (A, A^j, A^(j+1)), about 384 KB
+# at this cap, so the peak memory of a bundle's chain does not grow with the
+# bundle. On 150 CSL graphs (n = 41, 9 per stack) with cycles:8, each cap in
+# a fresh process on a 2-core Xeon (2 MB L2 per core), it was the fastest
+# cap tried: 16, 32, 64, 128, 256, 512 and 2048 KB took 9.1, 7.1, 5.5, 4.4,
+# 5.9, 6.1 and 6.7 ms. Below 128 KB glibc serves an array from its heap;
+# from 128 KB it maps fresh pages, until a freed large array raises that
+# threshold.
+_STACK_BYTES = 1 << 17
 
-    Each product P·A runs in the narrowest dtype its bound proves exact:
-    float64 while max(P)·Δ < 2**53 (Δ the maximum degree), then int64
-    while it is below 2**62, then Python ints. Every entry is a non-negative
-    integer, so each partial sum of (P·A)_ik, in any order, is at most the
-    final entry, which is at most max(P)·Δ. Below 2**53 every product and
-    partial sum of a classical matrix product is therefore an exact double,
-    whatever summation order, blocking or FMA BLAS uses. A chain that passes
-    both bounds at once goes through int64, so its objects are ints.
+
+def _widen(x: np.ndarray, bound: int) -> np.ndarray:
+    """`x` on the narrowest rung, no narrower than its own, that holds
+    integers up to `bound` exactly: float64 below 2**53, int64 below 2**62,
+    Python ints beyond. A float64 array passes through int64 on its way to
+    Python ints, so its objects are ints and not floats."""
+    if bound >= 1 << 53 and x.dtype == np.float64:
+        x = x.astype(np.int64)
+    if bound >= 1 << 62 and x.dtype == np.int64:
+        x = x.astype(object)
+    return x
+
+
+def _walk_traces(graphs: Sequence[Graph], k: int) -> list[list[int]]:
+    """Each graph's closed walks of every length up to k, tr(A^0), ...,
+    tr(A^k), as exact Python ints, in the order of `graphs`; k >= 1.
+
+    Graphs of one vertex count run together as a (G, n, n) stack of their
+    adjacency matrices, cut so that no stack holds more than `_STACK_BYTES`
+    of float64 (a single graph past the cap forms a stack of its own). A is
+    symmetric, and so is every power of it, so with <X, Y> the sum of the
+    entrywise products, tr(A^(2j)) = <A^j, A^j> and tr(A^(2j+1)) =
+    <A^j, A^(j+1)>. The chain stops at A^ceil(k/2): ceil(k/2) - 1 products
+    (3 for cycles:8, 15 for cycles:32), with two powers live at a time.
+
+    Every entry of a power is a non-negative integer, and every product and
+    inner product runs on the narrowest rung its bound proves exact
+    (`_widen`): float64 below 2**53, int64 below 2**62, Python ints beyond.
+    - Product P·A: each partial sum of (P·A)_ik, in any order, is at most
+      the final entry, which is at most max(P)·Δ, Δ the largest degree in
+      the stack.
+    - Inner product <X, Y>: each of its n² terms X_ik·Y_ik is at most
+      max(X)·max(Y), and each partial sum at most their total, so at most
+      n²·max(X)·max(Y).
+    Below 2**53 every term and partial sum is therefore an exact double,
+    whatever summation order, blocking or FMA the BLAS uses, and below
+    2**62 no int64 sum can overflow. The bounds are taken over the whole
+    stack, so one graph can move its stack to a wider rung; every rung
+    gives the same integers.
     """
-    a = g.adjacency_matrix()
-    max_degree = max(1, int(a.sum(axis=1).max(initial=0)))  # initial: n may be 0
-    traces = [g.num_vertices, 0]  # no self-loops
-    p = a = a.astype(np.float64)
-    for _ in range(k - 1):
-        if p.dtype != object:
-            bound = int(p.max(initial=0)) * max_degree
-            if bound >= 1 << 53 and p.dtype == np.float64:
-                p, a = p.astype(np.int64), a.astype(np.int64)
-            if bound >= 1 << 62:
-                p, a = p.astype(object), a.astype(object)  # Python ints from here on
-        p = p @ a
-        # Each diagonal entry fits its dtype but their sum need not: add as Python ints.
-        traces.append(sum(map(int, p.diagonal().tolist())))
+    traces: list = [None] * len(graphs)
+    by_size: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_size.setdefault(g.num_vertices, []).append(i)
+    for n, members in by_size.items():
+        step = max(1, _STACK_BYTES // (8 * n * n)) if n else len(members)
+        for s in range(0, len(members), step):
+            part = members[s : s + step]
+            for i, t in zip(part, _stack_traces([graphs[i] for i in part], n, k)):
+                traces[i] = t
     return traces
+
+
+def _stack_traces(graphs: Sequence[Graph], n: int, k: int) -> list[list[int]]:
+    """`_walk_traces` for graphs that all have n vertices, as one stack."""
+    m = len(graphs)
+    a = adjacency_stack(graphs, n)
+    delta = int(a.sum(axis=2).max(initial=0))  # the stack's largest degree
+
+    def inner(x, y, bound):  # <x_g, y_g> for every g, as one batched (1, n²)·(n², 1) product
+        x, y = _widen(x, bound), _widen(y, bound)
+        return np.matmul(x.reshape(m, 1, n * n), y.reshape(m, n * n, 1)).reshape(m).tolist()
+
+    columns = [[n] * m, [0] * m]  # tr(A^0) = n, tr(A) = 0: no self-loops
+    p, top = a, 1  # A^j and its largest entry (every entry of A^1 is 0 or 1)
+    while len(columns) <= k:  # the next length is 2j
+        columns.append(inner(p, p, n * n * top * top))
+        if len(columns) > k:
+            break
+        bound = top * delta
+        p, a = _widen(p, bound), _widen(a, bound)
+        q = p @ a
+        q_top = int(q.max(initial=0))
+        columns.append(inner(p, q, n * n * top * q_top))  # length 2j + 1
+        p, top = q, q_top
+    return [list(map(int, walks)) for walks in zip(*columns)]
 
 
 def hom_cycle(k: int, g: Graph) -> HomValue:
@@ -244,7 +303,7 @@ def hom_cycle(k: int, g: Graph) -> HomValue:
     """
     if k < 2:
         raise ValueError("cycle length must be at least 2")
-    return _finish(_walk_traces(g, k)[k], True)
+    return _finish(_walk_traces([g], k)[0][k], True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +416,7 @@ _Catalog = list[tuple[Graph, str, Pattern]]
 def _classify(patterns: Sequence[Union[Pattern, Graph]]) -> _Catalog:
     """Each pattern's graph, its kernel ("cycle", "tree" or "treedec") and
     the `Pattern` that keys its nice decomposition. This is the per-pattern
-    part of `_count_row`, done once per catalog rather than once per row.
+    part of `_count_rows`, done once per catalog rather than once per row.
     Cycles are recognized by their graph, not by their family name."""
     catalog = []
     for f in patterns:
@@ -368,35 +427,43 @@ def _classify(patterns: Sequence[Union[Pattern, Graph]]) -> _Catalog:
     return catalog
 
 
-def _count_row(
+def _count_rows(
     catalog: _Catalog,
-    g: Union[Graph, FeaturedGraph],
+    targets: Sequence[Union[Graph, FeaturedGraph]],
     phi: Optional[PhiFunction] = None,
-) -> tuple[list[Union[int, float]], bool]:
-    """hom(F, G) for each F in a `_classify`d catalog, and whether the row is
-    exact: Python ints if so, floats if weighted. The one dispatcher behind
-    `hom`, `hom_vector` and `embed`, and the only place an encoder becomes
-    vertex weights, once for the row. Trees go to the tree DP, unweighted
-    cycles to one shared chain of adjacency powers, everything else to the
+) -> tuple[list[list[Union[int, float]]], bool]:
+    """hom(F, G) for each F in a `_classify`d catalog and each target G, one
+    row per target, and whether the rows are exact: Python ints if so,
+    floats if weighted. The one dispatcher behind `hom`, `hom_vector` and
+    `embed`, and the only place an encoder becomes vertex weights, once per
+    target. Unweighted, every cycle reads one chain of adjacency powers
+    shared by all targets (`_walk_traces`), and K2 reads tr(A^2) = 2|E|.
+    Otherwise trees go to the tree DP and everything else to the
     decomposition DP. Neither DP re-checks its pattern: the catalog has
     classified it, and `nice_decomposition` validates each decomposition."""
-    graph = g.graph if isinstance(g, FeaturedGraph) else g
-    weights = None  # exact: every vertex weighs one
-    if phi is not None and phi.kind != "constant_one":
-        x = g.features if isinstance(g, FeaturedGraph) else np.zeros((graph.num_vertices, 0))
-        weights = [phi(row) for row in x]
-    exact = weights is None
+    graphs = [t.graph if isinstance(t, FeaturedGraph) else t for t in targets]
+    exact = phi is None or phi.kind == "constant_one"  # every vertex weighs one
     longest = max((fg.num_vertices for fg, kind, _ in catalog if kind == "cycle"), default=0)
-    traces = _walk_traces(graph, longest) if exact and longest else []
-    row = []
-    for fg, kind, pattern in catalog:
-        if kind == "cycle" and exact:
-            row.append(traces[fg.num_vertices])
-        elif kind == "tree":
-            row.append(_tree_dp(fg, graph, weights))
-        else:
-            row.append(_treedec_dp(fg, nice_decomposition(pattern), graph, weights))
-    return row, exact
+    traces = _walk_traces(graphs, longest) if exact and longest else []
+    rows = []
+    for i, (target, graph) in enumerate(zip(targets, graphs)):
+        weights = None
+        if not exact:  # a bare graph has no feature columns
+            n = graph.num_vertices
+            x = target.features if isinstance(target, FeaturedGraph) else np.zeros((n, 0))
+            weights = [phi(r) for r in x]
+        row = []
+        for fg, kind, pattern in catalog:
+            if exact and kind == "cycle":
+                row.append(traces[i][fg.num_vertices])
+            elif exact and kind == "tree" and fg.num_vertices == 2:
+                row.append(2 * graph.num_edges)
+            elif kind == "tree":
+                row.append(_tree_dp(fg, graph, weights))
+            else:
+                row.append(_treedec_dp(fg, nice_decomposition(pattern), graph, weights))
+        rows.append(row)
+    return rows, exact
 
 
 def hom(
@@ -405,7 +472,7 @@ def hom(
     phi: Optional[PhiFunction] = None,
 ) -> HomValue:
     """Compute hom(F, G) by the cheapest applicable algorithm; F may be a bare graph."""
-    (total,), exact = _count_row(_classify([f]), g, phi)
+    ((total,),), exact = _count_rows(_classify([f]), [g], phi)
     return _finish(total, exact)
 
 
@@ -450,7 +517,7 @@ def hom_vector(
     a RuntimeWarning that names the rounded coordinates; `embed` flags such
     columns in `ColumnMeta.promoted` instead."""
     graph = g.graph if isinstance(g, FeaturedGraph) else g
-    totals = _count_row(_classify(patterns), g, phi)[0]
+    totals = _count_rows(_classify(patterns), [g], phi)[0][0]
     row = [_as_float(total) for total in totals]
     rounded = [i for i, (cell, total) in enumerate(zip(row, totals)) if cell != total]
     if rounded:

@@ -357,6 +357,39 @@ class TestExitCodes:
         assert out == "" and err.startswith(f"error: {message} must be at least")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [(["csl", "--total", "1"], "--total"),
+         (["csl", "--paulus-file", "x.txt"], "--paulus-file"),
+         (["bipartite", "--skips", "2,3", "--copies-per-class", "0"],
+          "--copies-per-class, --skips"),
+         (["bipartite", "--num-vertices", "9"], "--num-vertices"),
+         (["paulus", "--num-vertices", "9", "--total", "4"], "--num-vertices, --total"),
+         (["paulus", "--skips", "2"], "--skips")],
+        ids=["csl-total", "csl-paulus-file", "bipartite-csl-options", "bipartite-num-vertices",
+             "paulus-two", "paulus-skips"],
+    )
+    def test_gen_rejects_options_of_another_kind(self, tmp_path, args, named, capsys):
+        # each of these exited 0 and wrote the ignored options into the config
+        out_dir = tmp_path / "data"
+        assert main(["gen", *args, "--out", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: gen {args[0]} does not take {named}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "kind, options",
+        [("csl", {"copies_per_class": 15, "num_vertices": 41, "skips": None}),
+         ("bipartite", {"total": 200}),
+         ("paulus", {"copies_per_class": 15, "paulus_file": None})],
+    )
+    def test_gen_config_holds_the_kinds_own_options(self, tmp_path, kind, options, capsys):
+        out_dir = tmp_path / "data"
+        assert main(["gen", kind, "--out", str(out_dir)]) == 0
+        (path,) = out_dir.glob("*_config.json")
+        config = json.loads(path.read_text())["config"]
+        assert config == {"command": "gen", "kind": kind, "seed": 0} | options
+
     def test_k_larger_than_dataset(self, capsys):
         code = main(["eval", "--generate", "csl", "--family", "cycles:4", "--k", "200"])
         assert code == 2

@@ -249,6 +249,30 @@ class TestCsvOutput:
         )
 
 
+    @pytest.mark.parametrize("family, density, digest", [
+        ("cycles:5", False, "859cac5c9812bc1a22002f3477735b4f9416b3e366b81816a18bddb98a821791"),
+        ("trees:4", True, "78e42e8aae1eaaff4a4a31b5a7fb0ddf8679c37df54c5fec9dd71829a80861fc"),
+    ])
+    def test_sidecar_and_csv_bytes_pinned(self, tmp_path, family, density, digest):
+        # sha256 of the sidecar then the CSV under a constant, a coordinate
+        # and an affine encoder, computed before `ColumnMeta` took slots and
+        # `embed` one label per encoder
+        import hashlib
+
+        bundle = small_bundle()
+        feats = [np.linspace(0, 1, 2 * g.num_vertices).reshape(-1, 2) for g in bundle.graphs]
+        bundle = DatasetBundle(name="small", graphs=bundle.graphs, labels=bundle.labels,
+                               features=feats)
+        phis = [PhiFunction.constant_one(), PhiFunction.coordinate(1),
+                PhiFunction.affine([0.37, -0.61], 0.05)]
+        m = embed(bundle, family, phi_set=phis, density=density)
+        assert not hasattr(m.column_meta[0], "__dict__")  # slots: no per-column dict
+        out = tmp_path / "e.csv"
+        write_embedding_csv(m, bundle, out, config={"family": family})
+        data = (tmp_path / "e.csv.meta.json").read_bytes() + out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 def _meta(d):
     from homcount.embedding import ColumnMeta
 

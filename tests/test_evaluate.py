@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,38 @@ class TestStratifiedKFold:
     def test_small_class_warns(self):
         with pytest.warns(UserWarning, match="members"):
             stratified_kfold([0] * 20 + [1] * 3, k=5, seed=0)
+
+    @staticmethod
+    def reference_kfold(labels, k, seed):
+        """The folds as built before the one-pass rewrite: deal each shuffled
+        class round-robin, then scan all graphs once per fold and per list."""
+        rng = random.Random(seed)
+        by_class = {}
+        for i, lab in enumerate(labels):
+            by_class.setdefault(lab, []).append(i)
+        fold_of, cursor = [0] * len(labels), 0
+        for lab in sorted(by_class):
+            members = by_class[lab]
+            rng.shuffle(members)
+            for idx in members:
+                fold_of[idx] = cursor % k
+                cursor += 1
+        return [([i for i in range(len(labels)) if fold_of[i] != f],
+                 [i for i in range(len(labels)) if fold_of[i] == f]) for f in range(k)]
+
+    def test_one_pass_equals_the_old_loop(self):
+        # seeded label lists of 2-200 graphs and up to 12 classes, many of
+        # them smaller than k, with k from 2 to the dataset size
+        rng = random.Random(11)
+        for case in range(300):
+            n = rng.randint(2, 200)
+            labels = [rng.randrange(rng.randint(1, 12)) for _ in range(n)]
+            k = min(n, rng.choice([2, 3, 5, 10, rng.randint(2, n)]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # classes smaller than k warn
+                got = stratified_kfold(labels, k=k, seed=case)
+            assert got == self.reference_kfold(labels, k, case), (n, k)
+            assert all(type(i) is int for train, test in got for i in train + test)
 
 
 class TestClassifier:
@@ -194,21 +227,25 @@ class TestCrossValidate:
         assert da == db
 
     def test_no_leakage_scaler_fitted_on_train_rows(self, monkeypatch):
-        fitted = []
-
-        def recording_fit(matrix, rows=None):
-            fitted.append(list(rows))
-            return fit_standardizer(matrix, rows=rows)
-
-        monkeypatch.setattr(evaluate, "fit_standardizer", recording_fit)
+        # Rewriting every row outside a fold's training set leaves the
+        # standardized problem that fold trains on unchanged, byte for byte.
         bundle = tiny_csl()
-        cross_validate(bundle, "cycles:8", k=5, seed=0, repeats=2)
-        expected = [
-            list(train)
-            for r in range(2)
-            for train, _ in stratified_kfold(bundle.labels, k=5, seed=_fold_seed(0, r))
-        ]
-        assert fitted == expected
+        matrix = embed(bundle, "cycles:8")
+        slices = []
+        monkeypatch.setattr(evaluate, "_train_stack", recording(_train_stack, slices))
+        rng = np.random.default_rng(0)
+        for r in range(2):
+            for train, test in stratified_kfold(bundle.labels, k=5, seed=_fold_seed(0, r)):
+                rewritten = matrix.values.copy()
+                rewritten[test] = rng.normal(size=(len(test), rewritten.shape[1])) * 1e6
+                for values in (matrix.values, rewritten):
+                    m = EmbeddingMatrix(values, matrix.column_meta)
+                    evaluate._run_folds(m, bundle, Hyper(epochs=1), [[(train, test)]])
+                (x, y), (x_rewritten, y_rewritten) = slices[-2:]
+                assert same_bits(x, x_rewritten) and same_bits(y, y_rewritten)
+                scaled = apply_standardizer(matrix, fit_standardizer(matrix, rows=train))
+                assert same_bits(x[0], scaled.values[train])
+        assert len(slices) == 20
 
     def test_epochs_run_recorded_per_fold(self):
         rep = cross_validate(tiny_csl(), "cycles:8", k=5, seed=0, repeats=2)
@@ -377,7 +414,7 @@ class TestStackedTrainingMatchesReference:
 
             monkeypatch.setattr(evaluate, name, wrapper)
 
-        for name in ("fit_standardizer", "apply_standardizer", "predict", "_train_stack"):
+        for name in ("_standardize_folds", "predict", "_train_stack"):
             record(name)
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
         return threads
@@ -387,7 +424,7 @@ class TestStackedTrainingMatchesReference:
         monkeypatch.setattr(evaluate, "_MIN_SLICE_FOLDS", 4)  # 8 problems make two slices
         cross_validate(random_graphs(), "cycles:4", hyper=Hyper(epochs=20), k=4, seed=0, repeats=2)
         caller = threading.get_ident()
-        for name in ("fit_standardizer", "apply_standardizer", "predict"):
+        for name in ("_standardize_folds", "predict"):
             assert threads[name] == {caller}, name
         # the caller trains one slice, a worker thread the other
         assert caller in threads["_train_stack"] and len(threads["_train_stack"]) == 2
@@ -401,6 +438,39 @@ class TestStackedTrainingMatchesReference:
         assert rep.config["trained_problems"] == 8
         assert [len(x) for x, _ in slices] == [8]  # one slice of all eight problems
         assert set().union(*threads.values()) == {threading.get_ident()}
+
+
+class TestFoldPreparation:
+    """`_standardize_folds` scales a repeat's folds of one train-set size as
+    one (F, n, d) block, bit for bit as the per-fold scaler does."""
+
+    @pytest.mark.parametrize(
+        "make, family, k",
+        [(gen_csl, "cycles:8", 10), (gen_csl, "cycles:8", 4),
+         (gen_bipartite_er, "cycles:8", 10), (gen_bipartite_er, "trees:6", 10),
+         (gen_bipartite_er, "trees:6", 7)],
+        ids=["csl-cycles8", "csl-cycles8-k4", "bipartite-cycles8", "bipartite-trees6",
+             "bipartite-trees6-k7"],
+    )
+    def test_blocks_equal_the_per_fold_scaler(self, make, family, k):
+        # k = 4 and 7 give two train-set sizes per repeat, so two blocks; a
+        # train size fixes the test size, as the test set is the rest
+        bundle = make(seed=0)
+        matrix = embed(bundle, family)
+        blocks = 0
+        for r in range(10):
+            sizes = {}
+            for fold in stratified_kfold(bundle.labels, k=k, seed=_fold_seed(0, r)):
+                sizes.setdefault(len(fold[0]), []).append(fold)
+            for folds in sizes.values():
+                x, tests = evaluate._standardize_folds(matrix.values, folds)
+                assert x.shape == (len(folds), len(folds[0][0]), matrix.values.shape[1])
+                for (train, test), fold_x, fold_test in zip(folds, x, tests):
+                    scaled = apply_standardizer(matrix, fit_standardizer(matrix, rows=train))
+                    assert same_bits(fold_x, scaled.values[train])
+                    assert same_bits(fold_test, scaled.values[test])
+                blocks += 1
+        assert blocks == (10 if k == 10 else 20)
 
 
 class TestDeduplication:
@@ -430,7 +500,9 @@ class TestDeduplication:
         bundle = DatasetBundle("bytes", [Graph(1, [])] * 6, [0, 1, 0, 0, 1, 1])
         meta = [ColumnMeta(i, "test", 1, "", "1", False, False) for i in range(2)]
         matrix = EmbeddingMatrix(values, meta)
-        monkeypatch.setattr(evaluate, "apply_standardizer", lambda matrix, scaler: matrix)
+        monkeypatch.setattr(  # no scaling: the problems keep the bytes given here
+            evaluate, "_standardize_folds",
+            lambda values, folds: (values[[t for t, _ in folds]], [values[s] for _, s in folds]))
         slices = []
         monkeypatch.setattr(evaluate, "_train_stack", recording(_train_stack, slices))
         trains = [[0, 1, 2], [0, 1, 2], [1, 0, 2], [3, 1, 2], [4, 1, 2]]

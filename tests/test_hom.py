@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -232,9 +233,10 @@ class TestCycleAlgorithm:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_traces_across_the_float64_switch(self, data):
-        # Dense graphs and lengths whose chain of powers passes the float64
-        # bound test, max(A^j) * max degree >= 2**53, but not the int64 one
-        # before A^length.
+        # Dense graphs and lengths past the first power whose product bound,
+        # max(A^j) * max degree, reaches 2**53, up to the first that reaches
+        # 2**62. The half chain stops at A^ceil(length/2) and its inner
+        # products cross the rungs sooner; `TestWalkTraceLists` pins those.
         n = data.draw(st.integers(8, 12), label="n")
         pairs = list(itertools.combinations(range(n), 2))
         missing = data.draw(st.sets(st.sampled_from(pairs), max_size=n), label="missing edges")
@@ -254,16 +256,16 @@ class TestCycleAlgorithm:
 
         length = data.draw(st.integers(switch(1 << 53) + 1, switch(1 << 62)), label="length")
         traces = [sum(extend(j)[i][i] for i in range(n)) for j in range(length + 1)]
-        assert _walk_traces(g, length) == traces
+        assert _walk_traces([g], length) == [traces]
         hv = hom_cycle(length, g)
         assert hv.mode == "exact" and hv.value == traces[length]
 
     @pytest.mark.parametrize("n", [9, 30])
     @pytest.mark.parametrize("rungs", [0, 1, 2])
     def test_complete_graph_chains_on_each_rung(self, n, rungs):
-        # K_n's chain stays in float64 up to A^s53, crosses only the float64
-        # rung up to A^s62, and crosses both rungs past it, where s53 and s62
-        # are the first powers whose bound test passes 2**53 and 2**62.
+        # Lengths s53, s62 and s62 + 1, where s53 and s62 are the first
+        # powers whose product bound max(A^j) * (n - 1) reaches 2**53 and
+        # 2**62: K_n's traces at these lengths lie near or past each rung.
         def closed_walks(kk):
             return (n - 1) ** kk + (n - 1) * (-1) ** kk
 
@@ -274,11 +276,11 @@ class TestCycleAlgorithm:
             return next(j for j in range(1, 80) if max_entry(j) * (n - 1) >= bound)
 
         length = [switch(1 << 53), switch(1 << 62), switch(1 << 62) + 1][rungs]
-        assert _walk_traces(k(n), length) == [closed_walks(kk) for kk in range(length + 1)]
+        assert _walk_traces([k(n)], length) == [[closed_walks(kk) for kk in range(length + 1)]]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_cycles_on_tiny_targets(self, n):
-        assert _walk_traces(Graph(n), 8) == [n] + [0] * 8
+        assert _walk_traces([Graph(n)], 8) == [[n] + [0] * 8]
         assert hom_vector(enumerate_cycles(8), Graph(n)).tolist() == [0.0] * 7
         assert all(hom_cycle(kk, Graph(n)) == HomValue(0, "exact") for kk in range(2, 9))
 
@@ -325,6 +327,92 @@ class TestCycleAlgorithm:
         for total in (edge, 1 << 1024, float("inf"), -float("inf"), float("nan")):
             with pytest.raises(ValueError, match="exceeds the float64 range"):
                 _as_float(total)
+
+
+def closed_walks(g: Graph, length: int) -> list[int]:
+    """tr(A^0), ..., tr(A^length) of g from Python-int matrix powers."""
+    n = g.num_vertices
+    a = [[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)]
+    power = [[int(u == v) for v in range(n)] for u in range(n)]
+    traces = []
+    for _ in range(length + 1):
+        traces.append(sum(power[i][i] for i in range(n)))
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
+    return traces
+
+
+@st.composite
+def walk_targets(draw, sizes=st.integers(0, 10), shapes=("edgeless", "random", "dense")):
+    """Graphs on `sizes` vertices: edgeless, random, or complete but for at
+    most two edges."""
+    n = draw(sizes, label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    shape = draw(st.sampled_from(shapes), label="shape")
+    if shape == "edgeless" or not pairs:
+        return Graph(n)
+    if shape == "dense":
+        missing = draw(st.sets(st.sampled_from(pairs), max_size=2), label="missing edges")
+        return Graph(n, [e for e in pairs if e not in missing])
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1), label="edge mask")
+    return Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+class TestWalkTraceLists:
+    """`_walk_traces` over a list of graphs, stacked by vertex count and cut
+    under `_STACK_BYTES`, equals each graph's own closed-walk counts."""
+
+    hom_module = sys.modules["homcount.hom"]  # `homcount.hom` is the function
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_lists_equal_per_graph_closed_walks(self, data):
+        # Every list holds n = 0, n = 1, an edgeless graph and two dense ones
+        # on 8-10 vertices, among up to eight more graphs, in drawn order.
+        # Their inner products pass 2**53 from length 17-19 and 2**62 from
+        # 20-22; their products P·A pass 2**53 from length 34-38.
+        dense = walk_targets(st.integers(8, 10), ("dense",))
+        graphs = [Graph(0), Graph(1), Graph(data.draw(st.integers(2, 10), label="edgeless n")),
+                  data.draw(dense, label="dense"), data.draw(dense, label="dense"),
+                  *data.draw(st.lists(walk_targets(), max_size=8), label="graphs")]
+        graphs = data.draw(st.permutations(graphs), label="order")
+        length = data.draw(st.integers(17, 64) | st.integers(1, 30), label="length")
+        # cap 1 stacks each graph alone; 800 bytes holds one 10-vertex graph
+        # or four 5-vertex ones; 128 KB holds every list drawn here
+        cap = data.draw(st.sampled_from([1, 800, 1 << 17]), label="cap")
+        with unittest.mock.patch.object(self.hom_module, "_STACK_BYTES", cap):
+            got = _walk_traces(graphs, length)
+        assert got == [closed_walks(g, length) for g in graphs]
+        assert all(type(t) is int for walks in got for t in walks)
+
+    def test_one_list_reaches_every_rung(self, monkeypatch):
+        # At length 20, the 8-cycle's stack stays in float64, K9's inner
+        # products pass 2**53 but not 2**62 (about 2**60), and K11's pass
+        # 2**62 (about 2**66). Edgeless and tiny graphs ride along.
+        seen = set()
+        widen = self.hom_module._widen
+
+        def recording(x, bound):
+            out = widen(x, bound)
+            seen.add(out.dtype)
+            return out
+
+        monkeypatch.setattr(self.hom_module, "_widen", recording)
+        graphs = [Graph(0), k(9), Graph(1), cycle_graph(8), Graph(7), k(11), cycle_graph(8)]
+        assert _walk_traces(graphs, 20) == [closed_walks(g, 20) for g in graphs]
+        assert seen == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
+
+    @pytest.mark.parametrize("length, products", [(1, 0), (2, 0), (3, 1), (8, 3), (32, 15)])
+    def test_half_chain_products(self, length, products, monkeypatch):
+        # tr(A^(2j)) = <A^j, A^j> and tr(A^(2j+1)) = <A^j, A^(j+1)>: the chain
+        # stops at A^ceil(k/2), one product per power past A
+        calls = []
+        widen = self.hom_module._widen
+        monkeypatch.setattr(self.hom_module, "_widen",
+                            lambda x, bound: calls.append(x.shape) or widen(x, bound))
+        graphs = [cycle_graph(6), k(6)]  # one stack
+        assert _walk_traces(graphs, length) == [closed_walks(g, length) for g in graphs]
+        inner_products = max(length - 1, 0)
+        assert len(calls) == 2 * inner_products + 2 * products  # two operands each
 
 
 class TestTreewidthAlgorithm:
