@@ -181,24 +181,11 @@ def _cmd_gen(args) -> int:
     for name, default in own.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    if args.kind == "csl":
-        skips = (
-            tuple(int(s) for s in args.skips.split(","))
-            if args.skips
-            else datasets.DEFAULT_CSL_SKIPS
-        )
-        bundle = datasets.gen_csl(
-            num_vertices=args.num_vertices,
-            skips=skips,
-            copies_per_class=args.copies_per_class,
-            seed=args.seed,
-        )
-    elif args.kind == "bipartite":
-        bundle = datasets.gen_bipartite_er(total=args.total, seed=args.seed)
-    else:
-        bundle = datasets.load_paulus(
-            file=args.paulus_file, copies_per_class=args.copies_per_class, seed=args.seed
-        )
+    options = {"file" if name == "paulus_file" else name: getattr(args, name) for name in own}
+    if "skips" in options:  # comma-separated, or csl's default when not given
+        text = options["skips"]
+        options["skips"] = tuple(map(int, text.split(","))) if text else datasets.DEFAULT_CSL_SKIPS
+    bundle = _GENERATORS[args.kind](seed=args.seed, **options)
     out = Path(args.out)
     datasets.write_tud(bundle, out)
     config = {"config": vars(args) | {"command": "gen"}, "provenance": bundle.provenance}

@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .datasets import DatasetBundle, write_output
-from .graphs import FeaturedGraph
 from .hom import PhiFunction, _as_float, _classify, _count_rows, _to_density
 from .patterns import Pattern, resolve_family
 
@@ -79,19 +78,13 @@ def embed(
     if bundle.features is None and any(p.kind == "coordinate" for p in phis):
         raise ValueError("coordinate encoders need a bundle with vertex features")
 
-    targets: list = bundle.graphs
-    if bundle.features is not None:  # range-checked by `validate_bundle`
-        targets = [
-            FeaturedGraph.unchecked(g, f) for g, f in zip(bundle.graphs, bundle.features)
-        ]
-
     catalog = _classify(patterns)
     width = len(patterns) * len(phis)  # column pi * len(phis) + q is (pattern pi, encoder q)
-    values = np.zeros((len(targets), width), dtype=np.float64)
+    values = np.zeros((len(bundle.graphs), width), dtype=np.float64)
     promoted = [False] * width
 
-    for q, phi in enumerate(phis):
-        for i, row in enumerate(_count_rows(catalog, targets, phi)[0]):
+    for q, phi in enumerate(phis):  # the features are range-checked by `validate_bundle`
+        for i, row in enumerate(_count_rows(catalog, bundle.graphs, bundle.features, phi)[0]):
             for pi, total in enumerate(row):
                 j = pi * len(phis) + q
                 cell = _as_float(total)

@@ -99,10 +99,10 @@ def stratified_kfold(
 
 
 def _sum_classes(z: np.ndarray, acc: np.ndarray) -> None:
-    """Sum class-major `z` (m, C, n) over its classes into `acc[:, :1]`, in the
-    order of numpy's pairwise sum over a contiguous row of C, so each total is
-    bit-identical to the row-major `sum(axis=-1)`. `acc` is (m, k, n), k >= C."""
-    c = z.shape[1]
+    """Sum class-major `z` (m, C, n), C >= 8, over its classes into `acc[:, :1]`,
+    in the order of numpy's pairwise sum over a contiguous row of C, so each
+    total is bit-identical to the row-major `sum(axis=-1)`. `acc` is (m, k, n), k >= C."""
+    m, c, n = z.shape
     total = acc[:, :1]
     if c > 128:  # halves, the first a multiple of 8
         half = c // 2 - c // 2 % 8
@@ -111,16 +111,11 @@ def _sum_classes(z: np.ndarray, acc: np.ndarray) -> None:
         total += acc[:, 1:2]
         return
     tail = c - c % 8  # the classes from here on are added in sequence
-    if c < 8:
-        total.fill(0.0)  # numpy starts a short row from 0.0
-    else:  # eight interleaved partial sums, combined pairwise
-        r = acc[:, :8]
-        np.copyto(r, z[:, :8])
-        for j in range(8, tail, 8):
-            r += z[:, j : j + 8]
-        np.add(r[:, 0::2], r[:, 1::2], out=r[:, 0::2])  # r0+r1, r2+r3, r4+r5, r6+r7
-        np.add(r[:, 0::4], r[:, 2::4], out=r[:, 0::4])  # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
-        np.add(r[:, :1], r[:, 4:5], out=total)
+    r = acc[:, :8]  # eight interleaved partial sums, each added in order, combined pairwise
+    np.add.reduce(z[:, :tail].reshape(m, tail // 8, 8, n), 1, None, r)
+    np.add(r[:, 0::2], r[:, 1::2], out=r[:, 0::2])  # r0+r1, r2+r3, r4+r5, r6+r7
+    np.add(r[:, 0::4], r[:, 2::4], out=r[:, 0::4])  # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+    np.add(r[:, :1], r[:, 4:5], out=total)
     for j in range(tail, c):
         total += z[:, j : j + 1]
 
@@ -166,8 +161,9 @@ def _train_stack(
     0.7 n), and the softmax runs in place on all n rows, class-major, on
     (F, C, n) scores: numpy reduces a row-major block one short row at a
     time (a row-major sum took bipartite's 9,000 rows of 2 classes 3.3
-    times as long), so `_sum_classes` adds the classes elementwise over the
-    rows, in the order of the pairwise sum. The weight product and the bias
+    times as long), so the classes are added elementwise over the rows in
+    the pairwise sum's order, by numpy below 8 classes, where that order is
+    the sequence, and by `_sum_classes` from 8. The weight product and the bias
     sum stay on all n rows, in order. The bias sum reads a sample-major
     copy of the error term, whose rows numpy adds F·C terms at a time; along
     the rows of (F, n, C) it adds C at a time, which took 301 against 41 us
@@ -235,8 +231,8 @@ def _train_stack(
         max_reduce(z, 2, None, rows, True)
         z -= rows
         np.exp(z, z)
-        if gather:
-            add_reduce(z, 2, None, rows, True)  # numpy's pairwise row sum
+        if gather or c < 8:  # numpy's pairwise row sum, or below 8 classes its order
+            add_reduce(z, 2, None, rows, True)
         else:
             _sum_classes(zc, acc)
         z /= rows  # softmax probabilities

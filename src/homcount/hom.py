@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -200,7 +202,7 @@ def _tree_dp(fg: Graph, g: Graph, weights: Optional[Sequence[float]]) -> Union[i
                     s += child[h]
                 vec[gv] *= s
         table[v] = vec
-    return sum(table[0])
+    return reduce(add, table[0], zero)  # in order: from Python 3.12 sum() compensates floats
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +431,27 @@ def _classify(patterns: Sequence[Union[Pattern, Graph]]) -> _Catalog:
 
 def _count_rows(
     catalog: _Catalog,
-    targets: Sequence[Union[Graph, FeaturedGraph]],
+    graphs: Sequence[Graph],
+    features: Optional[Sequence[np.ndarray]],
     phi: Optional[PhiFunction] = None,
 ) -> tuple[list[list[Union[int, float]]], bool]:
-    """hom(F, G) for each F in a `_classify`d catalog and each target G, one
-    row per target, and whether the rows are exact: Python ints if so,
-    floats if weighted. The one dispatcher behind `hom`, `hom_vector` and
-    `embed`, and the only place an encoder becomes vertex weights, once per
-    target. Unweighted, every cycle reads one chain of adjacency powers
-    shared by all targets (`_walk_traces`), and K2 reads tr(A^2) = 2|E|.
-    Otherwise trees go to the tree DP and everything else to the
-    decomposition DP. Neither DP re-checks its pattern: the catalog has
+    """hom(F, G) for each F in a `_classify`d catalog and each graph G, with
+    its (n, p) block of `features` unless that is None, one row per graph,
+    and whether the rows are exact: Python ints if so, floats if weighted.
+    The one dispatcher behind `hom`, `hom_vector` and `embed`, and the only
+    place an encoder becomes vertex weights, once per graph. Unweighted,
+    cycles read one chain of powers shared by all graphs (`_walk_traces`),
+    and K2 reads tr(A^2) = 2|E|. Otherwise trees go to `_tree_dp` and all
+    else to `_treedec_dp`, neither re-checking its pattern: the catalog has
     classified it, and `nice_decomposition` validates each decomposition."""
-    graphs = [t.graph if isinstance(t, FeaturedGraph) else t for t in targets]
     exact = phi is None or phi.kind == "constant_one"  # every vertex weighs one
     longest = max((fg.num_vertices for fg, kind, _ in catalog if kind == "cycle"), default=0)
     traces = _walk_traces(graphs, longest) if exact and longest else []
     rows = []
-    for i, (target, graph) in enumerate(zip(targets, graphs)):
+    for i, graph in enumerate(graphs):
         weights = None
         if not exact:  # a bare graph has no feature columns
-            n = graph.num_vertices
-            x = target.features if isinstance(target, FeaturedGraph) else np.zeros((n, 0))
+            x = features[i] if features is not None else np.zeros((graph.num_vertices, 0))
             weights = [phi(r) for r in x]
         row = []
         for fg, kind, pattern in catalog:
@@ -472,7 +473,8 @@ def hom(
     phi: Optional[PhiFunction] = None,
 ) -> HomValue:
     """Compute hom(F, G) by the cheapest applicable algorithm; F may be a bare graph."""
-    ((total,),), exact = _count_rows(_classify([f]), [g], phi)
+    graph, x = (g.graph, [g.features]) if isinstance(g, FeaturedGraph) else (g, None)
+    ((total,),), exact = _count_rows(_classify([f]), [graph], x, phi)
     return _finish(total, exact)
 
 
@@ -516,8 +518,8 @@ def hom_vector(
     float64 cannot hold (some above 2**53) rounds to the nearest double, with
     a RuntimeWarning that names the rounded coordinates; `embed` flags such
     columns in `ColumnMeta.promoted` instead."""
-    graph = g.graph if isinstance(g, FeaturedGraph) else g
-    totals = _count_rows(_classify(patterns), [g], phi)[0][0]
+    graph, x = (g.graph, [g.features]) if isinstance(g, FeaturedGraph) else (g, None)
+    totals = _count_rows(_classify(patterns), [graph], x, phi)[0][0]
     row = [_as_float(total) for total in totals]
     rounded = [i for i, (cell, total) in enumerate(zip(row, totals)) if cell != total]
     if rounded:

@@ -316,6 +316,20 @@ def treewidth_exact(g: Graph) -> tuple[int, list[int]]:
     return width[full], order[::-1]
 
 
+def _min_degree_order(g: Graph) -> list[int]:
+    """Greedy elimination order: a vertex of least degree in the graph left,
+    the highest on a tie, goes next, and its neighbours become a clique."""
+    neighbors = [set(a) for a in g.adjacency]
+    left, order = set(range(g.num_vertices)), []
+    while left:
+        v = min(left, key=lambda u: (len(neighbors[u]), -u))
+        left.remove(v)
+        order.append(v)
+        for u in neighbors[v]:
+            neighbors[u] = (neighbors[u] | neighbors[v]) - {u, v}
+    return order
+
+
 def _elimination_bags(g: Graph, order: Sequence[int]) -> tuple[list[frozenset[int]], list[int]]:
     """Decomposition bags from an elimination order, with fill-in edges, and
     each bag's parent: always a later bag, or -1 for the last bag."""
@@ -442,9 +456,10 @@ def validate_decomposition(td: TreeDecomposition, g: Graph) -> None:
 
 @lru_cache(maxsize=512)
 def nice_decomposition(pattern: Pattern) -> TreeDecomposition:
-    """Cached nice decomposition of a pattern at its exact treewidth."""
-    _, order = treewidth_exact(pattern.graph)
-    return build_nice_decomposition(pattern.graph, order)
+    """Cached nice decomposition: exact treewidth to 20 vertices, greedy above."""
+    g = pattern.graph
+    order = treewidth_exact(g)[1] if g.num_vertices <= 20 else _min_degree_order(g)
+    return build_nice_decomposition(g, order)
 
 
 # ---------------------------------------------------------------------------

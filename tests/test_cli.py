@@ -89,6 +89,14 @@ class TestHom:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "real" and payload["value"] == pytest.approx(6.0)
 
+    @pytest.mark.parametrize(
+        "args, value", [(["kbip:2,19"], 3 * 2**19 + 6), (["cycle:21", "--weighted"], 2**21 - 2)]
+    )
+    def test_patterns_past_twenty_vertices(self, k3_file, args, value, capsys):
+        # each exited 2: treewidth_exact is limited to 20 vertices
+        assert main(["hom", "--graph", k3_file, "--pattern", *args]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == value
+
     def test_missing_graph_file(self, capsys):
         assert main(["hom", "--pattern", "edge", "--graph", "/nope/missing.txt"]) == 2
 

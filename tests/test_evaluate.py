@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_train
 from homcount import evaluate
@@ -24,6 +26,7 @@ from homcount.embedding import (
 from homcount.evaluate import (
     Hyper,
     _fold_seed,
+    _sum_classes,
     _train_stack,
     cross_validate,
     predict,
@@ -689,3 +692,37 @@ class TestTrainStackShapes:
         ran = self.check(x, y, 10, Hyper(epochs=40))
         assert list(ran) == [40] * 50
         assert self.pair_counts(x, y) == [10] * 50
+
+
+def spread_normals(rng, shape):
+    """Normal draws scaled over 24 decades, so that a change of summation
+    order shows in the low bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+
+
+class TestClassSumOrder:
+    """The trainer's in-place softmax sums class-major scores (m, C, n) over
+    the classes, elementwise over the rows; each total must keep the bits of
+    numpy's pairwise sum over a contiguous row of C. These pin the numpy
+    behaviour that rests on."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(m=st.integers(1, 4), c=st.integers(1, 7), n=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_short_class_axis_reduction_is_the_row_sum(self, m, c, n, seed):
+        # below 8 classes numpy adds them in sequence either way
+        zc = spread_normals(np.random.default_rng(seed), (m, c, n))
+        z, acc = zc.transpose(0, 2, 1), np.full((m, c, n), np.nan)
+        rows = acc[:, :1].transpose(0, 2, 1)  # the trainer's layout
+        np.add.reduce(z, 2, None, rows, True)
+        assert same_bits(rows, np.ascontiguousarray(z).sum(axis=-1, keepdims=True))
+
+    def test_sum_classes_is_the_row_sum(self):
+        rng = np.random.default_rng(300)
+        for c in range(8, 301):
+            for m, n in ((1, 1), (3, 5)):
+                zc = spread_normals(rng, (m, c, n))
+                acc = np.full((m, c, n), np.nan)
+                _sum_classes(zc, acc)
+                want = np.ascontiguousarray(zc.transpose(0, 2, 1)).sum(axis=-1)
+                assert same_bits(acc[:, 0], want), (m, c, n)

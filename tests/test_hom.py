@@ -559,6 +559,33 @@ class TestCompleteBipartite:
             assert hom(f, g).value == hom_brute(f.graph, g).value
 
 
+class TestPatternsPastTheExactGuard:
+    # Above 20 vertices, past `treewidth_exact`'s guard, the decomposition
+    # comes from a greedy minimum-degree order; each of these raised before.
+    def test_weighted_long_cycles_are_traces(self):
+        rng = random.Random(67)
+        g = random_connected_graph(rng, 7, 0.5)
+        x = np.array([[rng.choice([0.25, 0.5, 0.75, 1.0])] for _ in range(7)])
+        a = g.adjacency_matrix().astype(np.float64) * x[:, 0]  # A D
+        for kk in (21, 25):
+            want = np.trace(np.linalg.matrix_power(a, kk))
+            got = hom(cycle_graph(kk), FeaturedGraph(g, x), phi=PhiFunction.coordinate(0)).value
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_kbip_two_twenty_counts_common_neighbourhoods(self):
+        rng = random.Random(71)
+        f = pattern_from_spec("kbip:2,20")
+        for _ in range(3):
+            g = random_simple_graph(rng, rng.randint(1, 7), 0.6)
+            nbrs = [set(a) for a in g.adjacency]
+            want = sum(len(nu & nv) ** 20 for nu in nbrs for nv in nbrs)
+            assert hom(f, g).value == want
+
+    def test_edgeless_pattern_counts_every_map(self):
+        for n in (0, 1, 3):
+            assert hom(Graph(21, []), k(n)).value == n**21
+
+
 class TestIndistinguishabilityDependsOnTreewidth:
     def test_kbip_three_three_separates_the_paulus_classes(self):
         # Counts of all patterns of treewidth <= k pin a graph down to k-WL

@@ -13,6 +13,7 @@ from homcount.datasets import load_paulus
 from homcount.graphs import Graph, disjoint_union, permute
 from homcount.patterns import (
     TreeDecomposition,
+    _min_degree_order,
     _tree_centers,
     build_nice_decomposition,
     canonical_adjacency_code,
@@ -23,6 +24,7 @@ from homcount.patterns import (
     enumerate_paths,
     enumerate_stars,
     enumerate_trees,
+    nice_decomposition,
     parse_pattern_blocks,
     path_graph,
     pattern_from_spec,
@@ -310,6 +312,17 @@ class TestTreewidth:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="20"):
             treewidth_exact(Graph(21, []))
+
+    def test_greedy_order_is_the_exact_one_on_small_cycles(self):
+        for k in range(3, 12):
+            assert _min_degree_order(cycle_graph(k)) == treewidth_exact(cycle_graph(k))[1]
+
+    def test_greedy_order_past_the_guard(self):
+        # nice_decomposition raised here: treewidth_exact is limited to 20 vertices
+        for spec in ("cycle:21", "cycle:25", "kbip:2,20", "kbip:2,19"):
+            assert nice_decomposition(pattern_from_spec(spec)).width == 2, spec
+        edgeless = custom_pattern(Graph(21, []))
+        assert nice_decomposition(edgeless).width == 0
 
     def test_orders_of_seeded_graphs_are_pinned(self):
         # sha256 of the (width, order) pairs, as JSON, that the DP gave when it
