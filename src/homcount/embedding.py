@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .datasets import DatasetBundle, write_output
-from .hom import PhiFunction, _as_float, _classify, _count_rows, _to_density
+from .hom import PhiFunction, _as_float, _count_columns, _to_density
 from .patterns import Pattern, resolve_family
 
 
@@ -78,20 +78,17 @@ def embed(
     if bundle.features is None and any(p.kind == "coordinate" for p in phis):
         raise ValueError("coordinate encoders need a bundle with vertex features")
 
-    catalog = _classify(patterns)
     width = len(patterns) * len(phis)  # column pi * len(phis) + q is (pattern pi, encoder q)
     values = np.zeros((len(bundle.graphs), width), dtype=np.float64)
     promoted = [False] * width
-
-    for q, phi in enumerate(phis):  # the features are range-checked by `validate_bundle`
-        for i, row in enumerate(_count_rows(catalog, bundle.graphs, bundle.features, phi)[0]):
-            for pi, total in enumerate(row):
-                j = pi * len(phis) + q
-                cell = _as_float(total)
-                promoted[j] = promoted[j] or cell != total  # on the count, not the density
-                if density:
-                    cell = _to_density(cell, patterns[pi].graph, bundle.graphs[i])
-                values[i, j] = cell
+    # the features are range-checked by `validate_bundle`
+    for j, column in _count_columns(patterns, bundle.graphs, bundle.features, phis):
+        for i, total in enumerate(column):
+            cell = _as_float(total)
+            promoted[j] = promoted[j] or cell != total  # on the count, not the density
+            if density:
+                cell = _to_density(cell, patterns[j // len(phis)].graph, bundle.graphs[i])
+            values[i, j] = cell
 
     if log1p:
         values = np.log1p(values)

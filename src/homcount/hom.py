@@ -7,9 +7,9 @@ bounded-treewidth dynamic program over a nice tree decomposition. All four
 agree exactly in integer mode.
 
 The kernels count into a plain `Graph` under an optional list of per-vertex
-weights; without one, every vertex weighs one and the count is exact. Only
-the row engine behind `hom`, `hom_vector` and `embed` turns an encoder into
-weights.
+weights, one per vertex, or a ValueError; without one, every vertex weighs
+one and the count is exact. Only the column engine behind `hom`,
+`hom_vector` and `embed` turns an encoder into weights.
 
 Unweighted counts are exact ints (flagged floats from 2**128), weighted ones
 doubles. Only `_as_float` makes a count a double; it raises ValueError past
@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -121,6 +121,12 @@ def _finish(total: Union[int, float], exact: bool) -> HomValue:
     return HomValue(_as_float(total), "real", promoted=exact)
 
 
+def _check_weights(weights: Optional[Sequence[float]], g: Graph) -> None:
+    """ValueError unless `weights` is None or holds one weight per vertex of `g`."""
+    if weights is not None and len(weights) != g.num_vertices:
+        raise ValueError(f"{len(weights)} weights for a target of {g.num_vertices} vertices")
+
+
 def _pattern_graph(f: Union[Pattern, Graph]) -> Graph:
     return f.graph if isinstance(f, Pattern) else f
 
@@ -139,6 +145,7 @@ def hom_brute(
     map adds the product of its image weights; exact counts use unit weights.
     """
     fg = _pattern_graph(f)
+    _check_weights(weights, g)
     nf, ng = fg.num_vertices, g.num_vertices
     if ng**nf > BRUTE_FORCE_GUARD:
         raise ValueError(f"brute force guard exceeded: {ng}^{nf} maps")
@@ -180,29 +187,37 @@ def hom_tree(
     fg = _pattern_graph(f)
     if not _is_tree(fg):
         raise ValueError("hom_tree requires a tree pattern")
-    return _finish(_tree_dp(fg, g, weights), weights is None)
+    _check_weights(weights, g)
+    return _finish(_tree_dp(fg, [g], None if weights is None else [weights])[0], weights is None)
 
 
-def _tree_dp(fg: Graph, g: Graph, weights: Optional[Sequence[float]]) -> Union[int, float]:
-    """`hom_tree`'s dynamic program, for a pattern known to be a tree."""
-    ng = g.num_vertices
+def _tree_dp(
+    fg: Graph, graphs: Sequence[Graph], weights: Optional[Sequence]
+) -> list[Union[int, float]]:
+    """`hom_tree`'s dynamic program, for a pattern known to be a tree, into
+    each graph in turn, under `weights[i]` for graph i or, if `weights` is
+    None, unit weights. The post-order child lists are built once."""
+    plan = [(v, [c for c in fg.adjacency[v] if c != parent])
+            for v, parent in reversed(list(rooted_order(fg, 0)))]
     exact = weights is None
-    base = [1] * ng if exact else list(weights)
     zero = 0 if exact else 0.0
-    table: dict[int, list] = {}
-    for v, parent in reversed(list(rooted_order(fg, 0))):
-        vec = list(base)
-        for c in fg.adjacency[v]:
-            if c == parent:
-                continue
-            child = table.pop(c)
-            for gv in range(ng):
-                s = zero
-                for h in g.adjacency[gv]:
-                    s += child[h]
-                vec[gv] *= s
-        table[v] = vec
-    return reduce(add, table[0], zero)  # in order: from Python 3.12 sum() compensates floats
+    column = []
+    for i, g in enumerate(graphs):
+        ng = g.num_vertices
+        base = [1] * ng if exact else list(weights[i])
+        table: dict[int, list] = {}
+        for v, children in plan:
+            vec = list(base)
+            for c in children:
+                child = table.pop(c)
+                for gv in range(ng):
+                    s = zero
+                    for h in g.adjacency[gv]:
+                        s += child[h]
+                    vec[gv] *= s
+            table[v] = vec
+        column.append(reduce(add, table[0], zero))  # in order: 3.12's sum() compensates
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -338,133 +353,113 @@ def hom_treedec(
     """
     fg = _pattern_graph(f)
     validate_decomposition(td, fg)
-    return _finish(_treedec_dp(fg, td, g, weights), weights is None)
+    _check_weights(weights, g)
+    column = _treedec_dp(fg, td, [g], None if weights is None else [weights])
+    return _finish(column[0], weights is None)
 
 
 def _treedec_dp(
-    fg: Graph, td: TreeDecomposition, g: Graph, weights: Optional[Sequence[float]]
-) -> Union[int, float]:
+    fg: Graph, td: TreeDecomposition, graphs: Sequence[Graph], weights: Optional[Sequence]
+) -> list[Union[int, float]]:
     """`hom_treedec`'s dynamic program, for a decomposition known to be
-    valid for `fg`, as every one `nice_decomposition` returns is."""
-    ng = g.num_vertices
-    exact = weights is None
-    w = [1] * ng if exact else list(weights)
-    one = 1 if exact else 1.0
-
-    kids = td.children
-    tables: dict[int, dict[tuple[int, ...], object]] = {}
+    valid for `fg`, as every one `nice_decomposition` returns is, into each
+    graph in turn as `_tree_dp` does. Each node's kind, children, bag
+    position and checked-neighbour positions are found once."""
     bag_order = [tuple(sorted(bag)) for bag in td.bags]
-    amat = [set(a) for a in g.adjacency]  # set membership, built once per call
-
+    plan = []
     for t, kind in enumerate(td.node_kind):
-        if kind == "leaf":
-            tables[t] = {(): one}
-            continue
-        if kind == "join":
-            left = tables.pop(kids[t][0])
-            right = tables.pop(kids[t][1])
-            if len(left) > len(right):
-                left, right = right, left
-            tables[t] = {
-                a: lv * right[a] for a, lv in left.items() if a in right
-            }
-            continue
-        child = kids[t][0]
-        ctab = tables.pop(child)
-        cbag = bag_order[child]
-        nbag = bag_order[t]
+        kids, pos, check = td.children[t], None, []
         if kind == "introduce":
-            (v,) = set(nbag) - set(cbag)
-            pos = nbag.index(v)
-            check = [
-                cbag.index(u) for u in fg.adjacency[v] if u in td.bags[child]
-            ]
-            # Candidates ascend either way, which keeps every bit (see hom_treedec).
-            first, rest = (check[0], check[1:]) if check else (None, ())
+            (v,) = td.bags[t] - td.bags[kids[0]]
+            pos = bag_order[t].index(v)
+            check = [bag_order[kids[0]].index(u) for u in fg.adjacency[v] if u in td.bags[kids[0]]]
+        elif kind == "forget":
+            (v,) = td.bags[kids[0]] - td.bags[t]
+            pos = bag_order[kids[0]].index(v)
+        # Candidates ascend either way, which keeps every bit (see hom_treedec).
+        plan.append((kind, kids, pos, check[0] if check else None, check[1:]))
+    exact = weights is None
+    column = []
+    for i, g in enumerate(graphs):
+        ng = g.num_vertices
+        w = [1] * ng if exact else list(weights[i])
+        amat = [set(a) for a in g.adjacency]  # set membership, built once per graph
+        tables: dict[int, dict[tuple[int, ...], object]] = {}
+        for t, (kind, kids, pos, first, rest) in enumerate(plan):
             new: dict[tuple[int, ...], object] = {}
-            for a, val in ctab.items():
-                for gv in range(ng) if first is None else g.adjacency[a[first]]:
-                    ok = True
-                    for ci in rest:
-                        if a[ci] not in amat[gv]:
-                            ok = False
-                            break
-                    if ok:
-                        new[a[:pos] + (gv,) + a[pos:]] = val
+            if kind == "leaf":
+                new[()] = 1 if exact else 1.0
+            elif kind == "join":
+                left, right = tables.pop(kids[0]), tables.pop(kids[1])
+                if len(left) > len(right):
+                    left, right = right, left
+                new = {a: lv * right[a] for a, lv in left.items() if a in right}
+            elif kind == "introduce":
+                for a, val in tables.pop(kids[0]).items():
+                    for gv in range(ng) if first is None else g.adjacency[a[first]]:
+                        for ci in rest:
+                            if a[ci] not in amat[gv]:
+                                break
+                        else:
+                            new[a[:pos] + (gv,) + a[pos:]] = val
+            else:  # forget
+                for a, val in tables.pop(kids[0]).items():
+                    gv = a[pos]
+                    key = a[:pos] + a[pos + 1 :]
+                    if key in new:
+                        new[key] += val * w[gv]
+                    else:
+                        new[key] = val * w[gv]
             tables[t] = new
-        else:  # forget
-            (v,) = set(cbag) - set(nbag)
-            pos = cbag.index(v)
-            new = {}
-            for a, val in ctab.items():
-                gv = a[pos]
-                key = a[:pos] + a[pos + 1 :]
-                if key in new:
-                    new[key] += val * w[gv]
-                else:
-                    new[key] = val * w[gv]
-            tables[t] = new
-
-    return tables[len(td.bags) - 1].get((), 0 if exact else 0.0)
+        column.append(tables[len(td.bags) - 1].get((), 0 if exact else 0.0))
+    return column
 
 
 # ---------------------------------------------------------------------------
 # dispatch, densities, vectors
 
 
-_Catalog = list[tuple[Graph, str, Pattern]]
-
-
-def _classify(patterns: Sequence[Union[Pattern, Graph]]) -> _Catalog:
-    """Each pattern's graph, its kernel ("cycle", "tree" or "treedec") and
-    the `Pattern` that keys its nice decomposition. This is the per-pattern
-    part of `_count_rows`, done once per catalog rather than once per row.
-    Cycles are recognized by their graph, not by their family name."""
+def _count_columns(
+    patterns: Sequence[Union[Pattern, Graph]],
+    graphs: Sequence[Graph],
+    features: Optional[Sequence[np.ndarray]],
+    phis: Sequence[Optional[PhiFunction]],
+) -> Iterator[tuple[int, list[Union[int, float]]]]:
+    """hom(F, G) for each pattern F, each graph G (with its (n, p) block of
+    `features` unless that is None) and each encoder q (None is the constant
+    one), as (j, column) with j = pi * len(phis) + q for pattern pi: one count
+    per graph, Python ints unweighted and floats weighted. The one dispatcher
+    behind `hom`, `hom_vector` and `embed`, and the only place an encoder
+    becomes vertex weights, once per graph. Each pattern is classified once,
+    cycles by their graph, not their family name. Unweighted, cycles read one
+    chain of powers shared by all graphs (`_walk_traces`), and K2 reads
+    2|E|. Otherwise trees go to `_tree_dp` and all else to `_treedec_dp`,
+    one call per column over every graph; neither re-checks its pattern.
+    Encoders run in turn: one encoder's weights and one column at a time."""
     catalog = []
     for f in patterns:
         fg = _pattern_graph(f)
         kind = "cycle" if _is_cycle(fg) else "tree" if _is_tree(fg) else "treedec"
         pattern = f if isinstance(f, Pattern) else Pattern(fg, "custom", fg.num_vertices, "")
         catalog.append((fg, kind, pattern))
-    return catalog
-
-
-def _count_rows(
-    catalog: _Catalog,
-    graphs: Sequence[Graph],
-    features: Optional[Sequence[np.ndarray]],
-    phi: Optional[PhiFunction] = None,
-) -> tuple[list[list[Union[int, float]]], bool]:
-    """hom(F, G) for each F in a `_classify`d catalog and each graph G, with
-    its (n, p) block of `features` unless that is None, one row per graph,
-    and whether the rows are exact: Python ints if so, floats if weighted.
-    The one dispatcher behind `hom`, `hom_vector` and `embed`, and the only
-    place an encoder becomes vertex weights, once per graph. Unweighted,
-    cycles read one chain of powers shared by all graphs (`_walk_traces`),
-    and K2 reads tr(A^2) = 2|E|. Otherwise trees go to `_tree_dp` and all
-    else to `_treedec_dp`, neither re-checking its pattern: the catalog has
-    classified it, and `nice_decomposition` validates each decomposition."""
-    exact = phi is None or phi.kind == "constant_one"  # every vertex weighs one
     longest = max((fg.num_vertices for fg, kind, _ in catalog if kind == "cycle"), default=0)
-    traces = _walk_traces(graphs, longest) if exact and longest else []
-    rows = []
-    for i, graph in enumerate(graphs):
+    for q, phi in enumerate(phis):
+        exact = phi is None or phi.kind == "constant_one"  # every vertex weighs one
+        traces = _walk_traces(graphs, longest) if exact and longest else []
         weights = None
         if not exact:  # a bare graph has no feature columns
-            x = features[i] if features is not None else np.zeros((graph.num_vertices, 0))
-            weights = [phi(r) for r in x]
-        row = []
-        for fg, kind, pattern in catalog:
+            blocks = features or [np.zeros((g.num_vertices, 0)) for g in graphs]
+            weights = [[phi(r) for r in x] for x in blocks]
+        for pi, (fg, kind, pattern) in enumerate(catalog):
             if exact and kind == "cycle":
-                row.append(traces[i][fg.num_vertices])
+                column = [t[fg.num_vertices] for t in traces]
             elif exact and kind == "tree" and fg.num_vertices == 2:
-                row.append(2 * graph.num_edges)
+                column = [2 * g.num_edges for g in graphs]
             elif kind == "tree":
-                row.append(_tree_dp(fg, graph, weights))
+                column = _tree_dp(fg, graphs, weights)
             else:
-                row.append(_treedec_dp(fg, nice_decomposition(pattern), graph, weights))
-        rows.append(row)
-    return rows, exact
+                column = _treedec_dp(fg, nice_decomposition(pattern), graphs, weights)
+            yield pi * len(phis) + q, column
 
 
 def hom(
@@ -474,8 +469,8 @@ def hom(
 ) -> HomValue:
     """Compute hom(F, G) by the cheapest applicable algorithm; F may be a bare graph."""
     graph, x = (g.graph, [g.features]) if isinstance(g, FeaturedGraph) else (g, None)
-    ((total,),), exact = _count_rows(_classify([f]), [graph], x, phi)
-    return _finish(total, exact)
+    ((_, (total,)),) = _count_columns([f], [graph], x, [phi])
+    return _finish(total, isinstance(total, int))  # unweighted counts are ints
 
 
 def _to_density(count: float, f: Graph, g: Graph) -> float:
@@ -519,7 +514,7 @@ def hom_vector(
     a RuntimeWarning that names the rounded coordinates; `embed` flags such
     columns in `ColumnMeta.promoted` instead."""
     graph, x = (g.graph, [g.features]) if isinstance(g, FeaturedGraph) else (g, None)
-    totals = _count_rows(_classify(patterns), [graph], x, phi)[0][0]
+    totals = [total for _, (total,) in _count_columns(patterns, [graph], x, [phi])]
     row = [_as_float(total) for total in totals]
     rounded = [i for i, (cell, total) in enumerate(zip(row, totals)) if cell != total]
     if rounded:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import asdict
@@ -5,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from homcount.datasets import DatasetBundle, gen_csl, parse_tud
+from homcount.datasets import DatasetBundle, gen_bipartite_er, gen_csl, load_paulus, parse_tud
 from homcount.embedding import (
     EmbeddingMatrix,
     apply_standardizer,
@@ -88,6 +89,32 @@ class TestInvarianceAndSeparation:
         assert np.array_equal(stars.values[0], stars.values[1])
         trees = embed(bundle, "trees:4")
         assert not np.array_equal(trees.values[0], trees.values[1])
+
+
+class TestFixedWorkloads:
+    def test_embeddings_pinned(self):
+        # sha256 of `embed(...).values.tobytes()` at seed 0, computed before
+        # the engine counted column by column. Exact cycles are exact
+        # doubles whatever the BLAS (the 2**53 bound of `_walk_traces`) and
+        # trees are Python ints, so these bytes hold on every platform.
+        pinned = {
+            ("csl", "cycles:8"):
+                "42d634a6c2fe5431cc00a14fc6e3b4881c8e08765017e45159c36fbc6c27ecf1",
+            ("bipartite", "cycles:8"):
+                "c54c0a343b2a69978b6428dc5af5e7d18e5440479ed48ba6c42f2b1302a4a51d",
+            ("bipartite", "trees:6"):
+                "776e308f562b3910492175f910965e0a522c82021c35e702125af260cfb3f9e0",
+            ("paulus", "cycles:8"):
+                "5a1825b4d57a85f84653e815dcabc664ac0142d95ebb2cf9712511efd460b0e7",
+            ("paulus", "trees:6"):
+                "e308e102c94b41c28b9c92064eae9dc4efe5ed33e83ad10cd9013a79c71e1edf",
+        }
+        bundles = {"csl": gen_csl(seed=0), "bipartite": gen_bipartite_er(seed=0),
+                   "paulus": load_paulus(seed=0)}
+        got = {(name, family): embed(bundles[name], family).values.tobytes()
+               for name, family in pinned}
+        got = {key: hashlib.sha256(data).hexdigest() for key, data in got.items()}
+        assert got == pinned
 
 
 class TestOptions:

@@ -532,12 +532,12 @@ class TestDecompositionDPMatchesReference:
         f = DP_PATTERNS[name]
         td = nice_decomposition(custom_pattern(f))
         g = target.graph
-        exact = _treedec_dp(f, td, g, None)
+        (exact,) = _treedec_dp(f, td, [g], None)
         assert type(exact) is int and exact == reference_treedec(f, td, g)
         for phi in (PhiFunction.coordinate(0), PhiFunction.coordinate(1),
                     PhiFunction.affine(coef[:2], coef[2])):
             weights = [phi(row) for row in target.features]
-            got = _treedec_dp(f, td, g, weights)
+            (got,) = _treedec_dp(f, td, [g], [weights])
             assert got.hex() == reference_treedec(f, td, g, weights).hex(), phi.label()
 
 
@@ -825,6 +825,49 @@ class TestRowEngine:
         assert m.values.shape == (3, 3 * len(patterns))
         # 9 rows, yet one classification per pattern and no re-validation
         assert calls == {"_is_cycle": len(patterns), "_is_tree": non_cycles}
+
+
+    def test_pattern_side_work_happens_once_per_column(self, monkeypatch):
+        # K4 under both encoders and the cycle under the coordinate one run
+        # the decomposition DP; the tree runs the tree DP under both
+        patterns = [custom_pattern(k(4)), custom_pattern(cycle_graph(5)),
+                    custom_pattern(star_graph(3))]
+        hom_module = sys.modules["homcount.hom"]  # `homcount.hom` is the function
+        calls = collections.Counter()
+        for name in ("nice_decomposition", "rooted_order"):
+            original = getattr(hom_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(hom_module, name, counted)
+        rng = random.Random(6)
+        encoders = [PhiFunction.constant_one(), PhiFunction.coordinate(1)]
+        for size in (3, 7):
+            calls.clear()
+            graphs = [random_connected_graph(rng, rng.randint(4, 7), 0.5) for _ in range(size)]
+            features = [np.eye(2)[[v % 2 for v in range(g.num_vertices)]] for g in graphs]
+            bundle = DatasetBundle("bundle", graphs, [i % 2 for i in range(size)], features)
+            m = embed(bundle, patterns, phi_set=encoders)
+            assert m.values.shape == (size, 6)
+            assert calls["nice_decomposition"] <= 3 and calls["rooted_order"] <= 2, (size, calls)
+
+
+class TestWeightLength:
+    @pytest.mark.parametrize("kernel", ["brute", "tree", "treedec"])
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 5.0]], ids=["short", "long"])
+    def test_wrong_length_is_refused(self, kernel, weights):
+        def count(f, w):
+            if kernel == "treedec":
+                return hom_treedec(f, nice_decomposition(custom_pattern(f)), EDGE, w)
+            return (hom_brute if kernel == "brute" else hom_tree)(f, EDGE, weights=w)
+
+        for f in (path_graph(2), Graph(1)):
+            want = hom_brute(f, EDGE).value
+            assert count(f, [1.0, 1.0]).value == count(f, np.ones(2)).value == want
+            with pytest.raises(ValueError, match=f"{len(weights)} weights for a target of 2 v"):
+                count(f, weights)
 
 
 class TestDisjointUnionMultiplicativity:
