@@ -213,19 +213,29 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
 
 def write_tud(bundle: DatasetBundle, directory: str | Path) -> None:
     """Emit a bundle in TU format. One-hot feature rows are written back as
-    node labels, which parse back exactly only when every label column occurs
-    in some row (`parse_tud` makes one column per label value it sees); other
-    features go to node attributes. Files from an earlier bundle of the same
+    node labels; other features go to node attributes. `parse_tud` makes one
+    column per label value it sees, so a one-hot block with an unused column
+    would come back narrower: it raises ValueError, naming the columns,
+    before any file is written. Files from an earlier bundle of the same
     name are replaced (`write_output`), and the optional file not written is
     removed."""
+    optional = {"labels": None, "attributes": None}
+    if bundle.features is not None:
+        stacked = np.vstack(bundle.features) if bundle.features else np.zeros((0, 0))
+        if stacked.size and np.isin(stacked, (0.0, 1.0)).all() and (stacked.sum(1) == 1.0).all():
+            unused = np.flatnonzero(~stacked.any(axis=0)).tolist()
+            if unused:
+                raise ValueError(f"one-hot label columns {unused} occur in no row")
+            optional["labels"] = [str(int(row.argmax())) for row in stacked]
+        else:
+            optional["attributes"] = [",".join(repr(float(x)) for x in row) for row in stacked]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = bundle.name
     a_lines, ind_lines = [], []
     offset = 0
     for i, g in enumerate(bundle.graphs):
-        for v in range(g.num_vertices):
-            ind_lines.append(str(i + 1))
+        ind_lines += [str(i + 1)] * g.num_vertices
         for u, v in g.edges():
             a_lines.append(f"{offset + u + 1}, {offset + v + 1}")
             a_lines.append(f"{offset + v + 1}, {offset + u + 1}")
@@ -236,18 +246,6 @@ def write_tud(bundle: DatasetBundle, directory: str | Path) -> None:
         directory / f"{name}_graph_labels.txt",
         "\n".join(str(lab) for lab in bundle.labels) + "\n",
     )
-    optional = {"labels": None, "attributes": None}
-    if bundle.features is not None:
-        stacked = np.vstack(bundle.features) if bundle.features else np.zeros((0, 0))
-        is_onehot = (
-            stacked.size > 0
-            and np.isin(stacked, (0.0, 1.0)).all()
-            and np.all(stacked.sum(axis=1) == 1.0)
-        )
-        if is_onehot:
-            optional["labels"] = [str(int(row.argmax())) for row in stacked]
-        else:
-            optional["attributes"] = [",".join(repr(float(x)) for x in row) for row in stacked]
     for kind, lines in optional.items():
         path = directory / f"{name}_node_{kind}.txt"
         if lines is None:

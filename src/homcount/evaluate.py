@@ -98,28 +98,6 @@ def stratified_kfold(
     return [(sorted(chain(*tests[:f], *tests[f + 1 :])), tests[f]) for f in range(k)]
 
 
-def _sum_classes(z: np.ndarray, acc: np.ndarray) -> None:
-    """Sum class-major `z` (m, C, n), C >= 8, over its classes into `acc[:, :1]`,
-    in the order of numpy's pairwise sum over a contiguous row of C, so each
-    total is bit-identical to the row-major `sum(axis=-1)`. `acc` is (m, k, n), k >= C."""
-    m, c, n = z.shape
-    total = acc[:, :1]
-    if c > 128:  # halves, the first a multiple of 8
-        half = c // 2 - c // 2 % 8
-        _sum_classes(z[:, :half], acc)
-        _sum_classes(z[:, half:], acc[:, 1:])
-        total += acc[:, 1:2]
-        return
-    tail = c - c % 8  # the classes from here on are added in sequence
-    r = acc[:, :8]  # eight interleaved partial sums, each added in order, combined pairwise
-    np.add.reduce(z[:, :tail].reshape(m, tail // 8, 8, n), 1, None, r)
-    np.add(r[:, 0::2], r[:, 1::2], out=r[:, 0::2])  # r0+r1, r2+r3, r4+r5, r6+r7
-    np.add(r[:, 0::4], r[:, 2::4], out=r[:, 0::4])  # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
-    np.add(r[:, :1], r[:, 4:5], out=total)
-    for j in range(tail, c):
-        total += z[:, j : j + 1]
-
-
 def _distinct_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each fold's distinct (row, label) pairs, keyed on the row's exact bytes
     (so -0.0 and 0.0 differ) and numbered in order of first occurrence.
@@ -161,9 +139,9 @@ def _train_stack(
     0.7 n), and the softmax runs in place on all n rows, class-major, on
     (F, C, n) scores: numpy reduces a row-major block one short row at a
     time (a row-major sum took bipartite's 9,000 rows of 2 classes 3.3
-    times as long), so the classes are added elementwise over the rows in
-    the pairwise sum's order, by numpy below 8 classes, where that order is
-    the sequence, and by `_sum_classes` from 8. The weight product and the bias
+    times as long), so below 8 classes, where the pairwise order is the
+    sequence, they are added elementwise over the rows, and from 8 numpy
+    sums the rows of a copy made row-major. The weight product and the bias
     sum stay on all n rows, in order. The bias sum reads a sample-major
     copy of the error term, whose rows numpy adds F·C terms at a time; along
     the rows of (F, n, C) it adds C at a time, which took 301 against 41 us
@@ -224,6 +202,7 @@ def _train_stack(
                 zc, acc = zs.reshape(m, c, n), zr.reshape(m, c, n)  # free until the error term
                 z, rows = zc.transpose(0, 2, 1), acc[:, :1].transpose(0, 2, 1)  # row-major views
                 zr_s = zr.transpose(1, 0, 2)
+            zsum = z if gather or c < 8 else np.empty((m, n, c))  # row-major, from 8
             zt = zc.transpose(0, 2, 1)
             onehot = np.equal(labels[:, :, None], np.arange(c), out=np.empty_like(z))  # z's layout
         matmul(wt, xz, zc)
@@ -231,10 +210,9 @@ def _train_stack(
         max_reduce(z, 2, None, rows, True)
         z -= rows
         np.exp(z, z)
-        if gather or c < 8:  # numpy's pairwise row sum, or below 8 classes its order
-            add_reduce(z, 2, None, rows, True)
-        else:
-            _sum_classes(zc, acc)
+        if zsum is not z:
+            copyto(zsum, z)
+        add_reduce(zsum, 2, None, rows, True)  # numpy's pairwise row sum, or below 8 its order
         z /= rows  # softmax probabilities
         z -= onehot  # p - 0.0 == p
         if gather:

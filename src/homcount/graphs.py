@@ -72,15 +72,20 @@ class Graph:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
 
 
+def union_arcs(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs of the graphs' disjoint union, graph after graph and each vertex's
+    in adjacency order: tails numbered in the union, heads in their own graph."""
+    nbrs = [nb for g in graphs for nb in g.adjacency]  # one per union vertex
+    degrees = list(map(len, nbrs))
+    tails = np.repeat(np.arange(len(nbrs)), degrees)  # each vertex, deg times
+    return tails, np.fromiter(chain.from_iterable(nbrs), np.intp, sum(degrees))
+
+
 def adjacency_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
     """The float64 adjacency matrices of graphs on n vertices each, stacked
     as one (len(graphs), n, n) array."""
-    nbrs = [nb for g in graphs for nb in g.adjacency]  # one row of the stack each
-    degrees = list(map(len, nbrs))
-    a = np.zeros((len(nbrs), n))
-    u = np.repeat(np.arange(len(nbrs)), degrees)  # each row, deg times
-    v = np.fromiter(chain.from_iterable(nbrs), np.intp, sum(degrees))  # its neighbours in turn
-    a[u, v] = 1.0  # every arc, both directions
+    a = np.zeros((len(graphs) * n, n))  # one row per union vertex
+    a[union_arcs(graphs)] = 1.0
     return a.reshape(len(graphs), n, n)
 
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import FeaturedGraph, Graph, adjacency_stack, rooted_order
+from .graphs import FeaturedGraph, Graph, adjacency_stack, rooted_order, union_arcs
 from .patterns import (
     Pattern,
     TreeDecomposition,
@@ -195,29 +194,37 @@ def _tree_dp(
     fg: Graph, graphs: Sequence[Graph], weights: Optional[Sequence]
 ) -> list[Union[int, float]]:
     """`hom_tree`'s dynamic program, for a pattern known to be a tree, into
-    each graph in turn, under `weights[i]` for graph i or, if `weights` is
-    None, unit weights. The post-order child lists are built once."""
+    every graph at once, under `weights[i]` for graph i or, if `weights` is
+    None, unit weights. A table holds one entry per vertex of the graphs'
+    disjoint union. A child's neighbourhood sums are one `np.add.at` over
+    the union's arcs, which adds in index order, each vertex's neighbours in
+    adjacency order, and one more by graph sums the root table. Unweighted
+    entries and partial sums count maps of a subtree, so none exceeds
+    n·Δ^(|V(F)| - 1), n and Δ the largest order and degree: the tables run
+    on the rung of `_widen` that bound proves exact. Weighted tables are
+    float64, and `_as_float` names an overflow to inf or NaN."""
     plan = [(v, [c for c in fg.adjacency[v] if c != parent])
             for v, parent in reversed(list(rooted_order(fg, 0)))]
-    exact = weights is None
-    zero = 0 if exact else 0.0
-    column = []
-    for i, g in enumerate(graphs):
-        ng = g.num_vertices
-        base = [1] * ng if exact else list(weights[i])
-        table: dict[int, list] = {}
+    sizes = np.array([g.num_vertices for g in graphs], dtype=np.intp)
+    graph_of = np.repeat(np.arange(len(graphs)), sizes)  # each union vertex's graph
+    rows, heads = union_arcs(graphs)
+    cols = heads + (np.cumsum(sizes) - sizes)[graph_of[rows]]  # heads in the union
+    if weights is None:
+        n, delta = int(sizes.max(initial=0)), int(np.bincount(rows).max(initial=0))
+        base = _widen(np.ones(len(graph_of)), n * delta ** (len(plan) - 1))
+    else:
+        base = np.fromiter(chain.from_iterable(weights), np.float64, len(graph_of))
+    tables: dict[int, np.ndarray] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
         for v, children in plan:
-            vec = list(base)
+            tables[v] = base.copy()
             for c in children:
-                child = table.pop(c)
-                for gv in range(ng):
-                    s = zero
-                    for h in g.adjacency[gv]:
-                        s += child[h]
-                    vec[gv] *= s
-            table[v] = vec
-        column.append(reduce(add, table[0], zero))  # in order: 3.12's sum() compensates
-    return column
+                s = np.zeros_like(base)
+                np.add.at(s, rows, tables.pop(c)[cols])
+                tables[v] *= s
+        totals = np.zeros(len(graphs), base.dtype)
+        np.add.at(totals, graph_of, tables[0])
+    return list(map(int, totals.tolist())) if weights is None else totals.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from homcount.evaluate import Hyper
-from homcount.graphs import FeaturedGraph, Graph
+from homcount.graphs import FeaturedGraph, Graph, rooted_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,6 +69,39 @@ def reference_train(x, y, num_classes, hyper=Hyper()):
         w -= scale * gw
         b -= scale * gb
     return w, b, hyper.epochs
+
+
+def reference_tree_dp(fg: Graph, graphs, weights=None):
+    """Oracle tree DP: one graph, one target vertex and one neighbour at a
+    time, in Python scalars.
+
+    The library runs each pattern edge as one array pass over the union of
+    all targets, adding each vertex's neighbours in adjacency order and the
+    root table in vertex order, as these loops do; its counts equal these
+    bit for bit. Returns one raw total per graph: ints unweighted, floats
+    under `weights[i]` for graph i.
+    """
+    plan = [(v, [c for c in fg.adjacency[v] if c != parent])
+            for v, parent in reversed(list(rooted_order(fg, 0)))]
+    exact = weights is None
+    zero = 0 if exact else 0.0
+    column = []
+    for i, g in enumerate(graphs):
+        ng = g.num_vertices
+        base = [1] * ng if exact else list(weights[i])
+        table = {}
+        for v, children in plan:
+            vec = list(base)
+            for c in children:
+                child = table.pop(c)
+                for gv in range(ng):
+                    s = zero
+                    for h in g.adjacency[gv]:
+                        s += child[h]
+                    vec[gv] *= s
+            table[v] = vec
+        column.append(reduce(add, table[0], zero))  # in order: 3.12's sum() compensates
+    return column
 
 
 def reference_treedec(fg: Graph, td, g: Graph, weights=None):

@@ -259,13 +259,14 @@ class TestRoundTrip:
 
     def test_unused_label_columns_do_not_come_back(self, tmp_path):
         # parse_tud makes one column per label value it sees, so a one-hot
-        # block round-trips exactly only when every column occurs
+        # block with an unused column would come back narrower: write_tud
+        # refuses it, naming the columns, before it writes any file
         onehot = np.zeros((2, 3))
         onehot[:, 0] = 1.0
         bundle = DatasetBundle("ONEHOT", [Graph(2, [(0, 1)])], [0], [onehot])
-        write_tud(bundle, tmp_path)
-        (features,) = parse_tud(tmp_path, "ONEHOT").features
-        assert features.shape == (2, 1) and (features == 1.0).all()
+        with pytest.raises(ValueError, match=r"one-hot label columns \[1, 2\] occur in no row"):
+            write_tud(bundle, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_attributed_roundtrip_is_bit_exact(self, tmp_path):
         graphs = [Graph(3, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])]

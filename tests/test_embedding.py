@@ -116,6 +116,23 @@ class TestFixedWorkloads:
         got = {key: hashlib.sha256(data).hexdigest() for key, data in got.items()}
         assert got == pinned
 
+    def test_weighted_tree_bits_pinned(self):
+        # sha256 of `embed(...).values.tobytes()` for trees:6 under three
+        # coordinate encoders on seeded non-integer features, computed
+        # before tree columns became array passes over the bundle. The
+        # weighted tree DP adds and multiplies doubles in a fixed order and
+        # no BLAS runs on its path, so these bytes hold on every platform
+        # and Python version.
+        bipartite = gen_bipartite_er(seed=0)
+        rng = random.Random(0)
+        features = [np.array([[rng.random() for _ in range(3)] for _ in range(g.num_vertices)])
+                    for g in bipartite.graphs]
+        bundle = DatasetBundle("weighted", bipartite.graphs, bipartite.labels, features)
+        m = embed(bundle, "trees:6", [PhiFunction.coordinate(i) for i in range(3)])
+        assert m.values.shape == (200, 39)
+        assert hashlib.sha256(m.values.tobytes()).hexdigest() == (
+            "581a915eaf20a9cd7161f7d840fae9226759082107b779f4bfe085c31dc2ac97")
+
 
 class TestOptions:
     def test_density_bounds(self):

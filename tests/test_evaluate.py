@@ -26,7 +26,6 @@ from homcount.embedding import (
 from homcount.evaluate import (
     Hyper,
     _fold_seed,
-    _sum_classes,
     _train_stack,
     cross_validate,
     predict,
@@ -543,7 +542,7 @@ class TestTrainStackShapes:
             assert ran[i] == ref_ran == one_ran[0], shape
         return ran
 
-    @pytest.mark.parametrize("c", [1, 2, 7, 8, 9, 16, 17, 130])
+    @pytest.mark.parametrize("c", [1, 2, 7, 8, 9, 16, 17, 130, 300])
     def test_folds_match_reference(self, c):
         rng = np.random.default_rng(c)
         for d in (0, 1, 2, 7):
@@ -701,8 +700,8 @@ def spread_normals(rng, shape):
 
 
 class TestClassSumOrder:
-    """The trainer's in-place softmax sums class-major scores (m, C, n) over
-    the classes, elementwise over the rows; each total must keep the bits of
+    """Below 8 classes the trainer's in-place softmax sums class-major scores
+    (m, C, n) over the classes, elementwise over the rows; each total must keep the bits of
     numpy's pairwise sum over a contiguous row of C. These pin the numpy
     behaviour that rests on."""
 
@@ -716,13 +715,3 @@ class TestClassSumOrder:
         rows = acc[:, :1].transpose(0, 2, 1)  # the trainer's layout
         np.add.reduce(z, 2, None, rows, True)
         assert same_bits(rows, np.ascontiguousarray(z).sum(axis=-1, keepdims=True))
-
-    def test_sum_classes_is_the_row_sum(self):
-        rng = np.random.default_rng(300)
-        for c in range(8, 301):
-            for m, n in ((1, 1), (3, 5)):
-                zc = spread_normals(rng, (m, c, n))
-                acc = np.full((m, c, n), np.nan)
-                _sum_classes(zc, acc)
-                want = np.ascontiguousarray(zc.transpose(0, 2, 1)).sum(axis=-1)
-                assert same_bits(acc[:, 0], want), (m, c, n)

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_hom, random_connected_graph, random_simple_graph, reference_treedec
+from conftest import (
+    naive_hom,
+    random_connected_graph,
+    random_simple_graph,
+    reference_tree_dp,
+    reference_treedec,
+)
 from homcount.datasets import DatasetBundle, load_paulus
 from homcount.embedding import embed
 from homcount.graphs import FeaturedGraph, Graph, disjoint_union, is_bipartite, permute
@@ -20,7 +26,9 @@ from homcount.hom import (
     HomValue,
     PhiFunction,
     _as_float,
+    _tree_dp,
     _treedec_dp,
+    _widen,
     _walk_traces,
     hom,
     hom_brute,
@@ -146,6 +154,86 @@ class TestTreeAlgorithm:
         deep = path_graph(1500)
         target = path_graph(3)
         assert hom_tree(deep, target).value > 0
+
+
+@st.composite
+def tree_patterns(draw):
+    """A random tree of 1-8 vertices: each vertex after the first hangs from
+    an earlier one, under a random relabelling."""
+    n = draw(st.integers(1, 8))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    sigma = draw(st.permutations(range(n)))
+    return Graph(n, [(sigma[v], sigma[p]) for v, p in enumerate(parents, start=1)])
+
+
+@st.composite
+def tree_targets(draw):
+    """0-6 sparse graphs of 0-12 vertices (isolated vertices are common),
+    each with one weight per vertex: both signs, and at scales where a
+    pattern's products overflow to inf and mixed signs give NaN."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(0, 12), max_size=6))
+    graphs = [random_simple_graph(rng, n, draw(st.sampled_from([0.1, 0.3, 0.6]))) for n in sizes]
+    scale = draw(st.sampled_from([1.0, 1e3, 1e40, 1e100, 1e300]))
+    weights = [[draw(st.floats(-1.0, 1.0)) * scale for _ in range(g.num_vertices)] for g in graphs]
+    return graphs, weights
+
+
+class TestTreeDPMatchesReference:
+    """The tree DP's array passes against `reference_tree_dp`, its scalar
+    loops: exact counts equal as ints, weighted ones to the last bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(f=tree_patterns(), targets=tree_targets())
+    def test_bits_match_the_scalar_loops(self, f, targets):
+        graphs, weights = targets
+        exact = _tree_dp(f, graphs, None)
+        assert [type(c) for c in exact] == [int] * len(graphs)
+        assert exact == reference_tree_dp(f, graphs)
+        got = _tree_dp(f, graphs, weights)
+        assert [type(c) for c in got] == [float] * len(graphs)
+        want = reference_tree_dp(f, graphs, weights)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        for g, w, total in zip(graphs, weights, got):
+            if math.isfinite(total):
+                assert hom_tree(f, g, w).value == total
+            else:
+                with pytest.raises(ValueError, match="exceeds the float64 range"):
+                    hom_tree(f, g, w)
+
+    @pytest.mark.parametrize("weights", [[1e200, 1e200], [1e200, -1e200]])
+    def test_overflow_is_the_named_error(self, weights):
+        # P3 into K2: inf, and with mixed signs -inf + inf = NaN at the root
+        (total,) = _tree_dp(path_graph(3), [EDGE], [weights])
+        assert not math.isfinite(total)
+        with pytest.raises(ValueError, match="exceeds the float64 range"):
+            hom_tree(path_graph(3), EDGE, weights)
+
+    @pytest.mark.parametrize("spec, rung", [("star:10", np.float64), ("star:11", np.int64),
+                                            ("star:12", object), ("star:13", object)])
+    def test_exact_counts_on_every_rung(self, spec, rung):
+        # star:N has N vertices and 40·39^(N-1) maps into K40, which is also
+        # the bound n·Δ^(N-1): star:10 (53 bits) stays float64, star:11 (59
+        # bits) runs int64, and star:12 and star:13 (64 and 69 bits, past
+        # int64; star:13 gives 495262306223057004840) run on Python ints
+        f = pattern_from_spec(spec).graph
+        rungs = []
+
+        def spy(x, bound):
+            x = _widen(x, bound)
+            rungs.append(x.dtype)
+            return x
+
+        with unittest.mock.patch("homcount.hom._widen", spy):
+            (got,) = _tree_dp(f, [k(40)], None)
+        assert rungs == [np.dtype(rung)]
+        assert type(got) is int and got == 40 * 39 ** (f.num_vertices - 1)
+        assert [got] == reference_tree_dp(f, [k(40)])
+
+    def test_empty_bundle(self):
+        assert _tree_dp(path_graph(3), [], None) == [] == _tree_dp(path_graph(3), [], [])
+        m = embed(DatasetBundle("E", [], []), "trees:4")
+        assert m.values.shape == (0, 4) and len(m.column_meta) == 4
 
 
 class TestCycleAlgorithm:
