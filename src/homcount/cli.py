@@ -164,7 +164,7 @@ def _cmd_hom(args) -> int:
 # kind is an error rather than ignored, and only the kind's own options go
 # into the dataset's config JSON.
 _GEN_OPTIONS = {
-    "csl": {"copies_per_class": 15, "num_vertices": 41, "skips": None},
+    "csl": {"copies_per_class": 15, "num_vertices": 41, "skips": datasets.DEFAULT_CSL_SKIPS},
     "bipartite": {"total": 200},
     "paulus": {"copies_per_class": 15, "paulus_file": None},
 }
@@ -181,10 +181,12 @@ def _cmd_gen(args) -> int:
     for name, default in own.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+    if isinstance(getattr(args, "skips", None), str):  # csl's, given comma-separated
+        try:
+            args.skips = [int(skip) for skip in args.skips.split(",")]
+        except ValueError:
+            raise ValueError(f"--skips {args.skips!r} is not comma-separated integers") from None
     options = {"file" if name == "paulus_file" else name: getattr(args, name) for name in own}
-    if "skips" in options:  # comma-separated, or csl's default when not given
-        text = options["skips"]
-        options["skips"] = tuple(map(int, text.split(","))) if text else datasets.DEFAULT_CSL_SKIPS
     bundle = _GENERATORS[args.kind](seed=args.seed, **options)
     out = Path(args.out)
     datasets.write_tud(bundle, out)

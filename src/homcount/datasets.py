@@ -124,12 +124,11 @@ def parse_tud(directory: str | Path, name: str) -> DatasetBundle:
     sizes = [0] * num_graphs
     # Local index = rank within the vertex's own graph, so interleaved
     # indicator files parse correctly too.
+    vertex_graph = [gid - 1 for gid in indicator]
     local_index = []
-    vertex_graph = []
-    for gid in indicator:
-        vertex_graph.append(gid - 1)
-        local_index.append(sizes[gid - 1])
-        sizes[gid - 1] += 1
+    for gi in vertex_graph:
+        local_index.append(sizes[gi])
+        sizes[gi] += 1
     if 0 in sizes:
         raise DataFormatError(f"{ind_path.name}: graph id {sizes.index(0) + 1} has no vertices")
 
@@ -219,16 +218,16 @@ def write_tud(bundle: DatasetBundle, directory: str | Path) -> None:
     before any file is written. Files from an earlier bundle of the same
     name are replaced (`write_output`), and the optional file not written is
     removed."""
-    optional = {"labels": None, "attributes": None}
+    optional = {"node_labels": None, "node_attributes": None}
     if bundle.features is not None:
         stacked = np.vstack(bundle.features) if bundle.features else np.zeros((0, 0))
         if stacked.size and np.isin(stacked, (0.0, 1.0)).all() and (stacked.sum(1) == 1.0).all():
             unused = np.flatnonzero(~stacked.any(axis=0)).tolist()
             if unused:
                 raise ValueError(f"one-hot label columns {unused} occur in no row")
-            optional["labels"] = [str(int(row.argmax())) for row in stacked]
+            optional["node_labels"] = [str(int(row.argmax())) for row in stacked]
         else:
-            optional["attributes"] = [",".join(repr(float(x)) for x in row) for row in stacked]
+            optional["node_attributes"] = [",".join(repr(float(x)) for x in row) for row in stacked]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = bundle.name
@@ -240,14 +239,10 @@ def write_tud(bundle: DatasetBundle, directory: str | Path) -> None:
             a_lines.append(f"{offset + u + 1}, {offset + v + 1}")
             a_lines.append(f"{offset + v + 1}, {offset + u + 1}")
         offset += g.num_vertices
-    write_output(directory / f"{name}_A.txt", "\n".join(a_lines) + "\n")
-    write_output(directory / f"{name}_graph_indicator.txt", "\n".join(ind_lines) + "\n")
-    write_output(
-        directory / f"{name}_graph_labels.txt",
-        "\n".join(str(lab) for lab in bundle.labels) + "\n",
-    )
-    for kind, lines in optional.items():
-        path = directory / f"{name}_node_{kind}.txt"
+    labels = [str(lab) for lab in bundle.labels]
+    files = {"A": a_lines, "graph_indicator": ind_lines, "graph_labels": labels} | optional
+    for suffix, lines in files.items():
+        path = directory / f"{name}_{suffix}.txt"
         if lines is None:
             path.unlink(missing_ok=True)
         else:

@@ -205,13 +205,12 @@ def is_bipartite(g: Graph) -> bool:
 
 def disjoint_union(*graphs: Graph) -> Graph:
     """Disjoint union; vertices of later graphs are shifted up."""
-    total = sum(g.num_vertices for g in graphs)
     edges = []
     offset = 0
     for g in graphs:
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.num_vertices
-    return Graph(total, edges)
+    return Graph(offset, edges)  # offset is now the total order
 
 
 def text_blocks(text: str) -> list[list[str]]:

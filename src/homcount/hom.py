@@ -187,44 +187,46 @@ def hom_tree(
     if not _is_tree(fg):
         raise ValueError("hom_tree requires a tree pattern")
     _check_weights(weights, g)
-    return _finish(_tree_dp(fg, [g], None if weights is None else [weights])[0], weights is None)
+    ((total,),) = _tree_dp([fg], [g], None if weights is None else [weights])
+    return _finish(total, weights is None)
 
 
 def _tree_dp(
-    fg: Graph, graphs: Sequence[Graph], weights: Optional[Sequence]
-) -> list[Union[int, float]]:
-    """`hom_tree`'s dynamic program, for a pattern known to be a tree, into
-    every graph at once, under `weights[i]` for graph i or, if `weights` is
+    trees: Sequence[Graph], graphs: Sequence[Graph], weights: Optional[Sequence]
+) -> Iterator[list[Union[int, float]]]:
+    """`hom_tree`'s dynamic program for patterns known to be trees: one
+    column per tree, under `weights[i]` for graph i or, if `weights` is
     None, unit weights. A table holds one entry per vertex of the graphs'
-    disjoint union. A child's neighbourhood sums are one `np.add.at` over
-    the union's arcs, which adds in index order, each vertex's neighbours in
-    adjacency order, and one more by graph sums the root table. Unweighted
-    entries and partial sums count maps of a subtree, so none exceeds
-    n·Δ^(|V(F)| - 1), n and Δ the largest order and degree: the tables run
-    on the rung of `_widen` that bound proves exact. Weighted tables are
-    float64, and `_as_float` names an overflow to inf or NaN."""
-    plan = [(v, [c for c in fg.adjacency[v] if c != parent])
-            for v, parent in reversed(list(rooted_order(fg, 0)))]
+    disjoint union, built once, at the first column. A child's neighbour
+    sums are one `np.add.at` over the union's arcs, which adds in index
+    order, each vertex's neighbours in adjacency order, and one more by
+    graph sums the root table. Unweighted entries and partial sums count
+    maps of a subtree, so none exceeds n·Δ^(|V(F)| - 1), n and Δ the largest
+    order and degree: each tree runs on the `_widen` rung that bound proves
+    exact. Weighted tables are float64; `_as_float` names inf or NaN."""
     sizes = np.array([g.num_vertices for g in graphs], dtype=np.intp)
     graph_of = np.repeat(np.arange(len(graphs)), sizes)  # each union vertex's graph
     rows, heads = union_arcs(graphs)
     cols = heads + (np.cumsum(sizes) - sizes)[graph_of[rows]]  # heads in the union
-    if weights is None:
-        n, delta = int(sizes.max(initial=0)), int(np.bincount(rows).max(initial=0))
-        base = _widen(np.ones(len(graph_of)), n * delta ** (len(plan) - 1))
-    else:
-        base = np.fromiter(chain.from_iterable(weights), np.float64, len(graph_of))
-    tables: dict[int, np.ndarray] = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for v, children in plan:
-            tables[v] = base.copy()
-            for c in children:
-                s = np.zeros_like(base)
-                np.add.at(s, rows, tables.pop(c)[cols])
-                tables[v] *= s
-        totals = np.zeros(len(graphs), base.dtype)
-        np.add.at(totals, graph_of, tables[0])
-    return list(map(int, totals.tolist())) if weights is None else totals.tolist()
+    n, delta = int(sizes.max(initial=0)), int(np.bincount(rows).max(initial=0))
+    if weights is not None:
+        weights = np.fromiter(chain.from_iterable(weights), np.float64, len(graph_of))
+    for fg in trees:
+        plan = [(v, [c for c in fg.adjacency[v] if c != parent])
+                for v, parent in reversed(list(rooted_order(fg, 0)))]
+        bound = n * delta ** (len(plan) - 1)
+        base = _widen(np.ones(len(graph_of)), bound) if weights is None else weights
+        tables: dict[int, np.ndarray] = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, children in plan:
+                tables[v] = base.copy()
+                for c in children:
+                    s = np.zeros_like(base)
+                    np.add.at(s, rows, tables.pop(c)[cols])
+                    tables[v] *= s
+            totals = np.zeros(len(graphs), base.dtype)
+            np.add.at(totals, graph_of, tables[0])
+        yield list(map(int, totals.tolist())) if weights is None else totals.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +440,11 @@ def _count_columns(
     per graph, Python ints unweighted and floats weighted. The one dispatcher
     behind `hom`, `hom_vector` and `embed`, and the only place an encoder
     becomes vertex weights, once per graph. Each pattern is classified once,
-    cycles by their graph, not their family name. Unweighted, cycles read one
-    chain of powers shared by all graphs (`_walk_traces`), and K2 reads
-    2|E|. Otherwise trees go to `_tree_dp` and all else to `_treedec_dp`,
-    one call per column over every graph; neither re-checks its pattern.
-    Encoders run in turn: one encoder's weights and one column at a time."""
+    cycles by their graph, and routed once per encoder. Unweighted, cycles
+    read one chain of powers shared by all graphs (`_walk_traces`), and so
+    does K2 when the chain runs: tr(A²) = 2|E|. Otherwise trees go to one
+    `_tree_dp` call over every graph and all else to `_treedec_dp`, one call
+    per column; neither re-checks its pattern. One encoder at a time."""
     catalog = []
     for f in patterns:
         fg = _pattern_graph(f)
@@ -457,13 +459,15 @@ def _count_columns(
         if not exact:  # a bare graph has no feature columns
             blocks = features or [np.zeros((g.num_vertices, 0)) for g in graphs]
             weights = [[phi(r) for r in x] for x in blocks]
-        for pi, (fg, kind, pattern) in enumerate(catalog):
-            if exact and kind == "cycle":
+        route = ["chain" if exact and longest and (kind == "cycle" or fg == Graph(2, [(0, 1)]))
+                 else "treedec" if kind == "cycle" else kind for fg, kind, _ in catalog]
+        tree_graphs = [fg for (fg, _, _), r in zip(catalog, route) if r == "tree"]
+        trees = _tree_dp(tree_graphs, graphs, weights)  # lazy: no tree column, no union
+        for pi, ((fg, _, pattern), r) in enumerate(zip(catalog, route)):
+            if r == "chain":
                 column = [t[fg.num_vertices] for t in traces]
-            elif exact and kind == "tree" and fg.num_vertices == 2:
-                column = [2 * g.num_edges for g in graphs]
-            elif kind == "tree":
-                column = _tree_dp(fg, graphs, weights)
+            elif r == "tree":
+                column = next(trees)
             else:
                 column = _treedec_dp(fg, nice_decomposition(pattern), graphs, weights)
             yield pi * len(phis) + q, column

@@ -387,7 +387,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "kind, options",
-        [("csl", {"copies_per_class": 15, "num_vertices": 41, "skips": None}),
+        [("csl", {"copies_per_class": 15, "num_vertices": 41,
+                  "skips": [2, 3, 4, 5, 6, 9, 11, 12, 13, 16]}),
          ("bipartite", {"total": 200}),
          ("paulus", {"copies_per_class": 15, "paulus_file": None})],
     )
@@ -397,6 +398,23 @@ class TestExitCodes:
         (path,) = out_dir.glob("*_config.json")
         config = json.loads(path.read_text())["config"]
         assert config == {"command": "gen", "kind": kind, "seed": 0} | options
+
+    def test_gen_config_records_the_skips_given(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        argv = ["gen", "csl", "--skips", "2, 3", "--num-vertices", "11", "--copies-per-class", "1"]
+        assert main(argv + ["--out", str(out_dir)]) == 0
+        config = json.loads((out_dir / "CSL_config.json").read_text())["config"]
+        assert config["skips"] == [2, 3]
+
+    @pytest.mark.parametrize("skips", ["", "x", "3,,4"], ids=["empty", "word", "empty-item"])
+    def test_gen_names_bad_skips(self, tmp_path, skips, capsys):
+        # "" ran the default ten skips and recorded ""; the other two failed
+        # with int()'s "invalid literal", which names no option
+        out_dir = tmp_path / "data"
+        assert main(["gen", "csl", "--skips", skips, "--out", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --skips {skips!r} is not comma-separated integers\n"
+        assert not out_dir.exists()
 
     def test_k_larger_than_dataset(self, capsys):
         code = main(["eval", "--generate", "csl", "--family", "cycles:4", "--k", "200"])

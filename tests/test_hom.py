@@ -18,9 +18,9 @@ from conftest import (
     reference_tree_dp,
     reference_treedec,
 )
-from homcount.datasets import DatasetBundle, load_paulus
+from homcount.datasets import DatasetBundle, gen_csl, load_paulus
 from homcount.embedding import embed
-from homcount.graphs import FeaturedGraph, Graph, disjoint_union, is_bipartite, permute
+from homcount.graphs import FeaturedGraph, Graph, disjoint_union, is_bipartite, permute, union_arcs
 from homcount.hom import (
     EXACT_LIMIT,
     HomValue,
@@ -187,10 +187,10 @@ class TestTreeDPMatchesReference:
     @given(f=tree_patterns(), targets=tree_targets())
     def test_bits_match_the_scalar_loops(self, f, targets):
         graphs, weights = targets
-        exact = _tree_dp(f, graphs, None)
+        (exact,) = _tree_dp([f], graphs, None)
         assert [type(c) for c in exact] == [int] * len(graphs)
         assert exact == reference_tree_dp(f, graphs)
-        got = _tree_dp(f, graphs, weights)
+        (got,) = _tree_dp([f], graphs, weights)
         assert [type(c) for c in got] == [float] * len(graphs)
         want = reference_tree_dp(f, graphs, weights)
         assert list(map(float.hex, got)) == list(map(float.hex, want))
@@ -204,7 +204,7 @@ class TestTreeDPMatchesReference:
     @pytest.mark.parametrize("weights", [[1e200, 1e200], [1e200, -1e200]])
     def test_overflow_is_the_named_error(self, weights):
         # P3 into K2: inf, and with mixed signs -inf + inf = NaN at the root
-        (total,) = _tree_dp(path_graph(3), [EDGE], [weights])
+        ((total,),) = _tree_dp([path_graph(3)], [EDGE], [weights])
         assert not math.isfinite(total)
         with pytest.raises(ValueError, match="exceeds the float64 range"):
             hom_tree(path_graph(3), EDGE, weights)
@@ -225,15 +225,85 @@ class TestTreeDPMatchesReference:
             return x
 
         with unittest.mock.patch("homcount.hom._widen", spy):
-            (got,) = _tree_dp(f, [k(40)], None)
+            ((got,),) = _tree_dp([f], [k(40)], None)
         assert rungs == [np.dtype(rung)]
         assert type(got) is int and got == 40 * 39 ** (f.num_vertices - 1)
         assert [got] == reference_tree_dp(f, [k(40)])
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(trees=st.lists(tree_patterns(), min_size=1, max_size=5), targets=tree_targets())
+    def test_one_call_yields_every_trees_column(self, trees, targets):
+        # the union is built once per call; each tree's column keeps its own bits
+        graphs, weights = targets
+        exact = list(_tree_dp(trees, graphs, None))
+        assert [type(c) for column in exact for c in column] == [int] * len(trees) * len(graphs)
+        assert exact == [reference_tree_dp(f, graphs) for f in trees]
+        got = list(_tree_dp(trees, graphs, weights))
+        assert [type(c) for column in got for c in column] == [float] * len(trees) * len(graphs)
+        want = [reference_tree_dp(f, graphs, weights) for f in trees]
+        assert [list(map(float.hex, c)) for c in got] == [list(map(float.hex, c)) for c in want]
+
+    def test_one_call_puts_each_column_on_its_own_rung(self):
+        trees = [pattern_from_spec(spec).graph for spec in ("star:10", "star:11", "star:12")]
+        rungs = []
+
+        def spy(x, bound):
+            x = _widen(x, bound)
+            rungs.append(x.dtype)
+            return x
+
+        with unittest.mock.patch("homcount.hom._widen", spy):
+            columns = list(_tree_dp(trees, [k(40)], None))
+        assert rungs == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)]
+        assert columns == [reference_tree_dp(f, [k(40)]) for f in trees]
+        assert [type(got) for (got,) in columns] == [int] * 3
+
     def test_empty_bundle(self):
-        assert _tree_dp(path_graph(3), [], None) == [] == _tree_dp(path_graph(3), [], [])
+        p3 = [path_graph(3)]
+        assert list(_tree_dp(p3, [], None)) == [[]] == list(_tree_dp(p3, [], []))
         m = embed(DatasetBundle("E", [], []), "trees:4")
         assert m.values.shape == (0, 4) and len(m.column_meta) == 4
+
+
+class TestColumnRoutes:
+    """`_count_columns` routes each pattern once per encoder: exact cycles,
+    and K2 when a chain runs, to the chain of powers; the other trees to one
+    `_tree_dp` call; everything else to `_treedec_dp`."""
+
+    hom_module = sys.modules["homcount.hom"]  # `homcount.hom` is the function
+
+    @staticmethod
+    def bundle():
+        rng = random.Random(5)
+        graphs = [random_simple_graph(rng, n, 0.4) for n in (0, 1, 2, 5, 7, 9)]
+        # dyadic weights keep every weighted sum exact, in any order
+        features = [np.array([rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(g.num_vertices)])
+                    .reshape(-1, 1) for g in graphs]
+        return DatasetBundle("routes", graphs, [0] * len(graphs), features)
+
+    @pytest.mark.parametrize("with_cycle", [True, False], ids=["chain-runs", "no-chain"])
+    def test_two_vertex_patterns_under_both_encoders(self, with_cycle):
+        # K2 reads tr(A²) = 2|E| from the chain that C3 starts, or the tree
+        # kernel without one; the edgeless pair is no tree and counts n²
+        patterns = [EDGE, Graph(2), *([cycle_graph(3)] if with_cycle else []), path_graph(3)]
+        bundle = self.bundle()
+        phis = [PhiFunction.constant_one(), PhiFunction.coordinate(0)]
+        m = embed(bundle, [custom_pattern(f) for f in patterns], phi_set=phis)
+        for row, g, x in zip(m.values.tolist(), bundle.graphs, bundle.features):
+            want = [hom_brute(f, g, w).value for f in patterns for w in (None, x[:, 0].tolist())]
+            assert row == want
+
+    def test_union_built_once_per_encoder_and_never_for_cycles(self):
+        with unittest.mock.patch.object(self.hom_module, "union_arcs", wraps=union_arcs) as spy:
+            embed(load_paulus(), "trees:8")
+            assert spy.call_count == 1
+            spy.reset_mock()
+            embed(gen_csl(), "cycles:8")
+            assert spy.call_count == 0
+            phis = [PhiFunction.constant_one(), PhiFunction.coordinate(0),
+                    PhiFunction.affine([0.5], 0.25)]
+            embed(self.bundle(), "trees:6", phi_set=phis)
+            assert spy.call_count == 3
 
 
 class TestCycleAlgorithm:
